@@ -2,8 +2,9 @@
 """Convergence study of the truncated current-integral quadrature.
 
 Prints, for a few field points, the error against the closed form as a
-function of the truncation half-length and of the per-panel order, plus the
-extrapolated value.  Writes a CSV next to the printed table.
+function of the truncation half-length and of the azimuthal per-panel order
+n_phi (the axial integral is exact), plus the extrapolated value.  Writes a
+CSV next to the printed table.
 """
 
 import csv
@@ -28,10 +29,10 @@ def main() -> int:
         exact = solenoid_transverse_potential(p, S)
         scale = float(np.max(np.abs(exact))) or 1.0
 
-        cfg = QuadratureConfig(n_phi=64, n_z=64, half_lengths=HALF_LENGTHS)
+        cfg = QuadratureConfig(n_phi=64, half_lengths=HALF_LENGTHS)
         res = numeric_potential(p, S, cfg)
         print(f"\npoint {p}  |A| = {scale:.6f}")
-        print("  truncation sweep (order 64):")
+        print("  truncation sweep (n_phi = 64):")
         for L, v in zip(res.half_lengths, res.per_length):
             err = float(np.max(np.abs(v - exact))) / scale
             print(f"    L = {L:5.1f}R   rel err = {err:.3e}")
@@ -43,13 +44,12 @@ def main() -> int:
         rows.append({"point": p, "mode": "extrapolated", "value": 0,
                      "rel_err": ext_err})
 
-        print("  order sweep (fixed L = 64R, no extrapolation):")
+        print("  n_phi sweep (fixed L = 64R, no extrapolation):")
         for n in ORDERS:
-            cfg_n = QuadratureConfig(n_phi=n, n_z=n, half_lengths=(64.0,),
-                                     extrapolation="none")
+            cfg_n = QuadratureConfig(n_phi=n, half_lengths=(64.0,), extrapolation="none")
             v = numeric_potential(p, S, cfg_n).per_length[0]
             err = float(np.max(np.abs(v - exact))) / scale
-            print(f"    order = {n:3d}   rel err = {err:.3e}")
+            print(f"    n_phi = {n:3d}   rel err = {err:.3e}")
             rows.append({"point": p, "mode": "order", "value": n, "rel_err": err})
 
     with out.open("w", newline="") as fh:

@@ -38,8 +38,10 @@ class SolenoidSpec:
     B: float = 1.0
 
     def __post_init__(self):
-        if self.R <= 0:
-            raise ValueError("solenoid radius must be positive")
+        if not (math.isfinite(self.R) and self.R > 0):
+            raise ValueError("solenoid radius must be positive and finite")
+        if not math.isfinite(self.B):
+            raise ValueError("solenoid field must be finite")
 
     @property
     def flux(self) -> float:

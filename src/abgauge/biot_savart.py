@@ -1,13 +1,16 @@
 """Direct quadrature of the solenoid's current integral for its potential.
 
 The infinite surface-current integral is made concrete by truncating the
-solenoid to half-length L, integrating the 1/|x - x'| kernel with composite
-Gauss-Legendre product quadrature over (azimuth, axial) source coordinates,
-and extrapolating the truncated values to L -> infinity.  The truncation
-error falls off as 1/L**2 once the azimuthal average removes the leading
-kernel term, so the extrapolation is polynomial in 1/L**2; this decay law is
-validated empirically, and a non-monotone approach to the extrapolant is an
-error rather than an assumption.
+solenoid to half-length L and extrapolating the truncated values to
+L -> infinity.  At each source azimuth the integral of the 1/|x - x'|
+kernel along the current line -L <= z' <= L is exact, asinh((L - z)/d) +
+asinh((L + z)/d) with d the in-plane distance from the field point to that
+line; only the azimuth is quadrature, composite Gauss-Legendre refined
+toward the field point's azimuth.  The truncation error falls off as
+1/L**2 once the azimuthal average removes the leading kernel term, so the
+extrapolation is polynomial in 1/L**2; this decay law is validated
+empirically, and a non-monotone approach to the extrapolant is an error
+rather than an assumption.
 """
 
 from __future__ import annotations
@@ -25,29 +28,30 @@ from .geometry import as_xyz
 
 SHELL_BAND_FRACTION = 1e-3
 
-# Dyadic panel refinement toward the source ring nearest the field point.
-# Azimuthal panels halve down to pi / 2**_PHI_LEVELS around the point's
-# azimuth; axial panels grow geometrically away from the point's z.
+# Dyadic panel refinement toward the source line nearest the field point:
+# azimuthal panels halve down to pi / 2**_PHI_LEVELS around its azimuth.
 _PHI_LEVELS = 7
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Gauss-Legendre orders and truncation schedule for the current integral.
+    """Azimuthal quadrature order and truncation schedule for the current integral.
 
-    n_phi and n_z are the per-panel orders; half_lengths lists the solenoid
-    truncation half-lengths in units of R, ascending.
+    n_phi is the Gauss-Legendre order per azimuthal panel; the axial
+    integral is exact and has no order.  half_lengths lists the solenoid
+    truncation half-lengths in units of R, finite and ascending.
     """
 
     n_phi: int = 48
-    n_z: int = 48
     half_lengths: tuple = (8.0, 16.0, 32.0, 64.0)
     extrapolation: str = "richardson"
 
     def __post_init__(self):
-        if self.n_phi < 8 or self.n_z < 8:
-            raise ValueError("quadrature orders must be at least 8")
+        if self.n_phi < 8:
+            raise ValueError("quadrature order must be at least 8")
         hl = tuple(float(v) for v in self.half_lengths)
+        if not all(math.isfinite(v) for v in hl):
+            raise ValueError("half_lengths must be finite")
         if len(hl) < 1 or any(b <= a for a, b in zip(hl, hl[1:])):
             raise ValueError("half_lengths must be strictly ascending")
         if hl[0] < 4.0:
@@ -96,35 +100,15 @@ def _phi_breaks(phi0: float) -> np.ndarray:
     return phi0 + np.array(sorted(rel))
 
 
-def _z_breaks(z: float, half_length: float) -> np.ndarray:
-    zc = min(max(z, -half_length), half_length)
-    breaks = {-half_length, half_length, zc}
-    step = 1.0
-    while True:
-        lo, hi = zc - step, zc + step
-        if lo > -half_length:
-            breaks.add(lo)
-        if hi < half_length:
-            breaks.add(hi)
-        if lo <= -half_length and hi >= half_length:
-            break
-        step *= 2.0
-    out = sorted(breaks)
-    # Drop near-duplicate breakpoints produced by clipping.
-    dedup = [out[0]]
-    for b in out[1:]:
-        if b - dedup[-1] > 1e-12:
-            dedup.append(b)
-    return np.array(dedup)
+def _axial_integral(z: float, half_length: float, d: np.ndarray) -> np.ndarray:
+    """Exact integral of 1/sqrt(d**2 + (z - z')**2) over |z'| <= half_length."""
+    return np.arcsinh((half_length - z) / d) + np.arcsinh((half_length + z) / d)
 
 
-def _truncated_potential(x, y, z, s: SolenoidSpec, cfg: QuadratureConfig,
-                         half_length: float, phi_cache) -> np.ndarray:
-    phi_nodes, phi_w, cosp, sinp, dxy2 = phi_cache
-    z_nodes, z_w = _panel_nodes(_z_breaks(z, half_length), cfg.n_z)
-    dz2 = (z - z_nodes) ** 2
-    kernel = 1.0 / np.sqrt(dxy2[:, None] + dz2[None, :])
-    axial = kernel @ z_w
+def _truncated_potential(z: float, s: SolenoidSpec, half_length: float,
+                         phi_cache) -> np.ndarray:
+    phi_w, cosp, sinp, d = phi_cache
+    axial = _axial_integral(z, half_length, d)
     pref = s.B * s.R / (4.0 * math.pi)
     ax = -pref * float(np.dot(phi_w * sinp, axial))
     ay = pref * float(np.dot(phi_w * cosp, axial))
@@ -144,7 +128,7 @@ def _check_monotone_approach(per_length, limit) -> None:
 
 def numeric_potential(p, s: SolenoidSpec,
                       cfg: QuadratureConfig = QuadratureConfig()) -> BiotSavartResult:
-    """Potential of the solenoid current by truncated product quadrature.
+    """Potential of the solenoid current by truncated quadrature.
 
     Evaluates the finite-solenoid integral at each configured half-length
     and extrapolates in 1/L**2.  Points within SHELL_BAND_FRACTION * R of
@@ -160,12 +144,11 @@ def numeric_potential(p, s: SolenoidSpec,
     phi_nodes, phi_w = _panel_nodes(_phi_breaks(phi0), cfg.n_phi)
     cosp = np.cos(phi_nodes)
     sinp = np.sin(phi_nodes)
-    dxy2 = (x - s.R * cosp) ** 2 + (y - s.R * sinp) ** 2
-    phi_cache = (phi_nodes, phi_w, cosp, sinp, dxy2)
+    phi_cache = (phi_w, cosp, sinp, np.hypot(x - s.R * cosp, y - s.R * sinp))
 
     lengths = [L * s.R for L in cfg.half_lengths]
     per_length = tuple(
-        _truncated_potential(x, y, z, s, cfg, L, phi_cache) for L in lengths)
+        _truncated_potential(z, s, L, phi_cache) for L in lengths)
 
     if cfg.extrapolation == "richardson" and len(per_length) >= 2:
         xs = [1.0 / L ** 2 for L in lengths]

@@ -15,8 +15,7 @@ from pathlib import Path
 
 from .ab_phase import PhaseProbe, loop_phase, open_path_phase
 from .analytic_fields import (GaugeGradientField, SingularSolenoidGauge,
-                              SolenoidSpec, StringField, string_flux,
-                              TransformedPotentialField)
+                              StringField, string_flux, TransformedPotentialField)
 from .calculus import disc_flux, shrinking_loop_circulation
 from .errors import ComputationError, ParseError, ToolkitError
 from .geometry import DiscSpec, LoopSpec, PathSpec, Point
@@ -49,13 +48,10 @@ def _minimal_scenario(args) -> "object":
         "landau_b": getattr(args, "landau_b", 1.0),
         "operations": [{"op": "string_flux"}],
     }
-    if getattr(args, "nphi", None) or getattr(args, "nz", None) \
-            or getattr(args, "half_lengths", None):
+    if getattr(args, "nphi", None) or getattr(args, "half_lengths", None):
         q = {}
         if getattr(args, "nphi", None):
             q["n_phi"] = args.nphi
-        if getattr(args, "nz", None):
-            q["n_z"] = args.nz
         if getattr(args, "half_lengths", None):
             q["half_lengths"] = list(args.half_lengths)
         raw["quadrature"] = q
@@ -154,7 +150,7 @@ def _cmd_flux(args) -> int:
 
 
 def _cmd_string(args) -> int:
-    s = SolenoidSpec(R=args.R, B=args.B)
+    s = _minimal_scenario(args).solenoid
     grad = GaugeGradientField(SingularSolenoidGauge(s))
     shrink = shrinking_loop_circulation(grad, (0.0, 0.0, 0.0), eps_list=args.eps)
     aprime = shrinking_loop_circulation(TransformedPotentialField(s),
@@ -211,7 +207,6 @@ def _add_solenoid_flags(p) -> None:
 
 def _add_quadrature_flags(p) -> None:
     p.add_argument("--nphi", type=int, help="azimuthal order per panel")
-    p.add_argument("--nz", type=int, help="axial order per panel")
     p.add_argument("--half-lengths", dest="half_lengths", type=_parse_floats,
                    help="truncation half-lengths in units of R, ascending")
 

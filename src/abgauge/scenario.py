@@ -14,6 +14,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -52,6 +53,15 @@ FIELD_IDS = ("solenoid.AS", "solenoid.Aprime", "solenoid.B",
 def load_schema() -> dict:
     text = resources.files("abgauge").joinpath("schema/scenario.schema.json").read_text()
     return json.loads(text)
+
+
+@lru_cache(maxsize=1)
+def _schema_validator():
+    """The scenario schema's validator, meta-checked once and then reused."""
+    schema = load_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 @dataclass(frozen=True)
@@ -152,17 +162,16 @@ def load_scenario(path) -> Scenario:
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
-    try:
-        jsonschema.validate(raw, load_schema())
-    except jsonschema.ValidationError as exc:
-        raise ParseError(f"scenario does not match schema: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_schema_validator().iter_errors(raw))
+    if error is not None:
+        raise ParseError(f"scenario does not match schema: {error.message}") from error
 
     sol = raw.get("solenoid", {})
-    solenoid = SolenoidSpec(R=sol.get("R", 1.0), B=sol.get("B", 1.0))
     quad = raw.get("quadrature", {})
     try:
+        solenoid = SolenoidSpec(R=sol.get("R", 1.0), B=sol.get("B", 1.0))
         quadrature = QuadratureConfig(
-            n_phi=quad.get("n_phi", 48), n_z=quad.get("n_z", 48),
+            n_phi=quad.get("n_phi", 48),
             half_lengths=tuple(quad.get("half_lengths", (8.0, 16.0, 32.0, 64.0))),
             extrapolation=quad.get("extrapolation", "richardson"))
     except ValueError as exc:

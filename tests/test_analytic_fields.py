@@ -28,6 +28,12 @@ class TestSolenoidSpec:
         with pytest.raises(ValueError):
             SolenoidSpec(R=-1.0)
 
+    @pytest.mark.parametrize("kwargs", [{"R": math.nan}, {"R": math.inf},
+                                        {"B": math.nan}, {"B": -math.inf}])
+    def test_non_finite_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            SolenoidSpec(**kwargs)
+
 
 class TestTransversePotential:
     def test_interior_branch(self):

@@ -10,7 +10,7 @@ from abgauge.errors import NonConvergent, TooCloseToShell
 from abgauge.geometry import PathSpec
 
 S = SolenoidSpec(1.0, 1.0)
-CFG = QuadratureConfig(n_phi=64, n_z=64, half_lengths=(8, 16, 32, 64))
+CFG = QuadratureConfig(n_phi=64, half_lengths=(8, 16, 32, 64))
 
 
 def rel_error(value, exact):
@@ -29,6 +29,11 @@ class TestConfig:
     def test_half_lengths_minimum(self):
         with pytest.raises(ValueError):
             QuadratureConfig(half_lengths=(2, 8))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_half_lengths_finite(self, bad):
+        with pytest.raises(ValueError):
+            QuadratureConfig(half_lengths=(8, bad))
 
     def test_extrapolation_values(self):
         with pytest.raises(ValueError):
@@ -79,10 +84,38 @@ class TestNumericPotential:
             _check_monotone_approach(bad, np.zeros(3))
 
     def test_extrapolation_none_returns_last(self):
-        cfg = QuadratureConfig(n_phi=32, n_z=32, half_lengths=(8, 16),
+        cfg = QuadratureConfig(n_phi=32, half_lengths=(8, 16),
                                extrapolation="none")
         r = numeric_potential((2, 0, 0), S, cfg)
         assert np.all(r.value == r.per_length[-1])
+
+
+def dense_axial_sum(z, half_length, d, order=40):
+    """Composite Gauss-Legendre sum of 1/sqrt(d**2 + (z - z')**2) over z'.
+
+    Panels grow geometrically from the point nearest z, so the peak of
+    width d is resolved.
+    """
+    zc = min(max(z, -half_length), half_length)
+    steps = d * 2.0 ** np.arange(60)
+    breaks = np.unique(np.clip(np.concatenate(([-half_length, zc, half_length],
+                                               zc - steps, zc + steps)),
+                               -half_length, half_length))
+    x, w = np.polynomial.legendre.leggauss(order)
+    parts = []
+    for a, b in zip(breaks, breaks[1:]):
+        zp = 0.5 * (a + b) + 0.5 * (b - a) * x
+        parts.extend(0.5 * (b - a) * w / np.sqrt(d * d + (z - zp) ** 2))
+    return math.fsum(parts)
+
+
+class TestAxialClosedForm:
+    @pytest.mark.parametrize("d", [1e-3, 1e-2, 0.3, 1.0, 10.0])
+    @pytest.mark.parametrize("z", [0.0, 2.5, -7.999, 8.0, 9.0, -20.0])
+    def test_matches_dense_gauss_legendre(self, d, z):
+        from abgauge.biot_savart import _axial_integral
+        exact = float(_axial_integral(z, 8.0, np.array([d]))[0])
+        assert exact == pytest.approx(dense_axial_sum(z, 8.0, d), rel=1e-12)
 
 
 class TestTruncationDecay:
@@ -95,31 +128,14 @@ class TestTruncationDecay:
         for a, b in zip(dists, dists[1:]):
             assert 3.0 < a / b < 5.0
 
-    def test_quadrature_order_convergence(self):
-        # At fixed truncation, doubling both orders cuts the quadrature error
-        # at least 4x until the truncation floor for that half-length.
-        p = (1.1, 0, 0.3)
-        exact = solenoid_transverse_potential(p, S)
-        errs = {}
-        for n in (8, 16, 32, 64):
-            cfg = QuadratureConfig(n_phi=n, n_z=n, half_lengths=(64.0,),
-                                   extrapolation="none")
-            v = numeric_potential(p, S, cfg).per_length[0]
-            errs[n] = float(np.max(np.abs(v - exact)))
-        floor = errs[64]
-        for n in (8, 16, 32):
-            assert errs[2 * n] <= max(errs[n] / 4.0, floor * 1.05)
-        # The first doubling must show a real quadrature improvement.
-        assert errs[8] > floor * 1.05
-
     def test_pure_quadrature_error_cascade(self):
         p = (1.1, 0, 0.3)
-        ref_cfg = QuadratureConfig(n_phi=128, n_z=128, half_lengths=(16.0,),
+        ref_cfg = QuadratureConfig(n_phi=128, half_lengths=(16.0,),
                                    extrapolation="none")
         ref = numeric_potential(p, S, ref_cfg).per_length[0]
         prev = None
         for n in (8, 16, 32):
-            cfg = QuadratureConfig(n_phi=n, n_z=n, half_lengths=(16.0,),
+            cfg = QuadratureConfig(n_phi=n, half_lengths=(16.0,),
                                    extrapolation="none")
             err = float(np.max(np.abs(numeric_potential(p, S, cfg).per_length[0] - ref)))
             if prev is not None and prev > 1e-13:
@@ -162,7 +178,7 @@ class TestGaugeInvariantChain:
     def test_circulation_of_numeric_potential_equals_flux(self):
         # Quadrature output alone, integrated around an enclosing loop,
         # reproduces the flux without touching the closed form.
-        cfg = QuadratureConfig(n_phi=32, n_z=32, half_lengths=(8, 16, 32))
+        cfg = QuadratureConfig(n_phi=32, half_lengths=(8, 16, 32))
         f = NumericBiotSavartField(S, cfg)
         rep = line_integral(f, PathSpec.circle((0, 0, 0), 2.0), tol=1e-4)
         assert abs(rep.value - math.pi) / math.pi < 1e-3

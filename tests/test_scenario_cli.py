@@ -63,6 +63,17 @@ class TestScenarioIngestion:
         with pytest.raises(ParseError):
             scenario_from_dict(raw)
 
+    @pytest.mark.parametrize("overrides", [
+        {"quadrature": {"n_phi": 48, "n_z": 48}},
+        {"quadrature": {"half_lengths": [8, math.inf]}},
+        {"quadrature": {"half_lengths": [8, math.nan]}},
+        {"solenoid": {"R": math.nan, "B": 1.0}},
+        {"solenoid": {"R": 1.0, "B": math.inf}},
+    ])
+    def test_removed_or_non_finite_settings_rejected(self, overrides):
+        with pytest.raises(ParseError):
+            scenario_from_dict(minimal_scenario(**overrides))
+
     def test_expect_needs_tolerance(self):
         raw = minimal_scenario()
         del raw["operations"][0]["expect"]["tol"]
@@ -225,6 +236,16 @@ class TestCli:
         p.write_text(json.dumps(bad))
         assert main(["run", str(p), "--out", str(tmp_path)]) == 2
 
+    def test_run_removed_n_z_exits_2(self, tmp_path):
+        p = tmp_path / "nz.json"
+        p.write_text(json.dumps(minimal_scenario(quadrature={"n_z": 48})))
+        assert main(["run", str(p), "--out", str(tmp_path)]) == 2
+
+    def test_run_non_finite_half_length_exits_2(self, tmp_path):
+        p = tmp_path / "inf.json"
+        p.write_text(json.dumps(minimal_scenario(quadrature={"half_lengths": [8, math.inf]})))
+        assert main(["run", str(p), "--out", str(tmp_path)]) == 2
+
     def test_run_expectation_failure_exits_1(self, tmp_path):
         raw = minimal_scenario()
         raw["operations"][0]["expect"] = {"value": 42.0, "tol": 1e-12}
@@ -273,6 +294,10 @@ class TestCli:
         assert payload["string_flux"] == pytest.approx(-math.pi)
         assert payload["singular_gradient_limit"] == pytest.approx(-math.pi, abs=1e-6)
 
+    @pytest.mark.parametrize("radius", ["nan", "inf", "-1"])
+    def test_string_verb_bad_radius_exits_2(self, radius):
+        assert main(["string", "--R", radius]) == 2
+
     def test_landau_compare_verb(self, capsys):
         assert main(["landau", "compare", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -287,7 +312,12 @@ class TestCli:
 
     def test_quadrature_overrides(self, capsys):
         assert main(["eval", "solenoid.AS.numeric", "--at", "2,0,0",
-                     "--nphi", "32", "--nz", "32", "--half-lengths", "8,16,32",
+                     "--nphi", "32", "--half-lengths", "8,16,32",
                      "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["value"][1] == pytest.approx(0.25, rel=1e-4)
+
+    def test_removed_nz_flag_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "solenoid.AS.numeric", "--at", "2,0,0", "--nz", "8"])
+        assert exc.value.code == 2
