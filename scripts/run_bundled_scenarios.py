@@ -12,26 +12,19 @@ from pathlib import Path
 
 from abgauge.scenario import exit_code, load_scenario, run_scenario, write_outputs
 
-SCENARIOS = [
-    "loop_flux",
-    "string_circulation",
-    "singular_gauge_expulsion",
-    "flux_cancellation",
-    "gauge_invariance",
-    "partial_phase",
-    "biot_savart_check",
-    "interior_curl",
-    "landau_gauges",
-    "interaction_energy",
-    "helmholtz_classification",
-]
+
+def bundled_scenarios() -> list:
+    """The package's scenarios/*.json files, sorted by name."""
+    folder = resources.files("abgauge").joinpath("scenarios")
+    return sorted((p for p in folder.iterdir() if p.name.endswith(".json")),
+                  key=lambda p: p.name)
 
 
 def main() -> int:
     out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("results")
     worst = 0
-    for name in SCENARIOS:
-        path = resources.files("abgauge").joinpath(f"scenarios/{name}.json")
+    for path in bundled_scenarios():
+        name = path.name.removesuffix(".json")
         t0 = time.monotonic()
         scenario = load_scenario(str(path))
         record = run_scenario(scenario)

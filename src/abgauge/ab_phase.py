@@ -24,7 +24,7 @@ from .analytic_fields import (FieldExpr, GaugeChoice, GaugeGradientField,
                               gauge_label, gauge_value,
                               solenoid_transverse_potential)
 from .calculus import line_integral
-from .errors import EndpointMismatch
+from .errors import ComputationError, EndpointMismatch
 from .geometry import LoopSpec, PathSpec, Point, endpoint_azimuths
 
 PHASE_TOL = 1e-12
@@ -153,21 +153,22 @@ def loop_phase(probe: PhaseProbe, loop: LoopSpec,
         gauge_part = probe.e * _gauge_endpoint_difference(probe.gauge, loop.path)
         err += abs(probe.e) * rep_t.error_estimate
         singular = bool(probe.gauge.multi_valued)
+    notes = []
+    if singular:
+        notes.append("singular gauge: the loop integral excludes the axis string, "
+                     "so the net enclosed flux it sees is zero")
     try:
         w = loop.winding_number()
-    except Exception:
+    except ComputationError as exc:
         w = None
-    notes = ()
-    if singular:
-        notes = ("singular gauge: the loop integral excludes the axis string, "
-                 "so the net enclosed flux it sees is zero",)
+        notes.append(f"winding undefined: {type(exc).__name__}: {exc}")
     return PhaseReport(phase=probe.e * rep_total.value,
                        transverse_part=transverse,
                        gauge_part=gauge_part,
                        error_estimate=err,
                        winding=w,
                        singular_gauge=singular,
-                       notes=notes)
+                       notes=tuple(notes))
 
 
 def interference_shift(probe: PhaseProbe, c1: PathSpec, c2: PathSpec,
@@ -220,12 +221,18 @@ def gauge_dependence_scan(path: PathSpec, gauges: Sequence[Optional[GaugeChoice]
                               else _gauge_endpoint_difference(g, path))
 
     tps = [r.transverse_part for r in rows]
-    assert max(tps) - min(tps) < 1e-10, "transverse parts must agree across gauges"
+    spread = max(tps) - min(tps)
+    if not spread < 1e-10:
+        raise ComputationError(
+            f"transverse parts must agree across gauges; spread {spread:.3e}")
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
             expected = probe.e * (endpoint_diffs[i] - endpoint_diffs[j])
-            assert abs((rows[i].phase - rows[j].phase) - expected) < 1e-8, \
-                "phase differences must match gauge endpoint shifts"
+            miss = abs((rows[i].phase - rows[j].phase) - expected)
+            if not miss < 1e-8:
+                raise ComputationError(
+                    f"phase difference of gauges {rows[i].gauge_id} and "
+                    f"{rows[j].gauge_id} misses their endpoint shift by {miss:.3e}")
     return tuple(rows)
 
 

@@ -9,7 +9,6 @@ a separate sidecar payload so the main outputs stay byte-comparable.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import math
 import time
@@ -161,10 +160,32 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(raw)
 
 
+def _non_finite_at(value, where: str = "") -> Optional[str]:
+    """Location of the first NaN or infinite number in a raw scenario, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else where
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return None
+    for key, item in items:
+        found = _non_finite_at(item, f"{where}.{key}" if where else str(key))
+        if found is not None:
+            return found
+    return None
+
+
 def scenario_from_dict(raw: dict) -> Scenario:
+    where = _non_finite_at(raw)
+    if where is not None:
+        raise ParseError(f"non-finite number at {where}")
     error = jsonschema.exceptions.best_match(_schema_validator().iter_errors(raw))
     if error is not None:
-        raise ParseError(f"scenario does not match schema: {error.message}") from error
+        at = ".".join(str(k) for k in error.absolute_path)
+        raise ParseError(f"scenario does not match schema"
+                         f"{' at ' + at if at else ''}: {error.message}") from error
 
     sol = raw.get("solenoid", {})
     quad = raw.get("quadrature", {})
@@ -295,10 +316,6 @@ def _resolve_disc(value, scenario: Scenario) -> DiscSpec:
     return _build_disc(value)
 
 
-def _loop_of(path: PathSpec) -> LoopSpec:
-    return LoopSpec(path)
-
-
 # ---------------------------------------------------------------------------
 # Point sampling for scan operations
 # ---------------------------------------------------------------------------
@@ -351,7 +368,7 @@ def _h_line_integral(scenario, params):
 
 
 def _h_winding_number(scenario, params):
-    loop = _loop_of(_resolve_path(params["loop"], scenario))
+    loop = LoopSpec(_resolve_path(params["loop"], scenario))
     return float(winding_number(loop)), 0.0, "winding", {}
 
 
@@ -422,7 +439,7 @@ def _h_open_phase(scenario, params):
 
 def _h_loop_phase(scenario, params):
     probe = _probe(scenario, params)
-    rep = loop_phase(probe, _loop_of(_resolve_path(params["loop"], scenario)),
+    rep = loop_phase(probe, LoopSpec(_resolve_path(params["loop"], scenario)),
                      tol=params.get("tol", 1e-12))
     extra = {"transverse_part": rep.transverse_part, "gauge_part": rep.gauge_part,
              "winding": rep.winding, "singular_gauge": rep.singular_gauge,
@@ -475,8 +492,7 @@ def _h_energy_cancellation(scenario, params):
 
 
 def _h_landau_compare(scenario, params):
-    loop_path = _resolve_path(params["loop"], scenario)
-    loop = _loop_of(loop_path)
+    loop = LoopSpec(_resolve_path(params["loop"], scenario))
     e = params.get("e", 1.0)
     phases = {}
     for fid in ("landau.S", "landau.L1", "landau.L2"):
@@ -605,7 +621,7 @@ def _run_one(scenario: Scenario, op: OpRequest) -> OpReport:
     tol = op.expect.tol if op.expect else None
     try:
         value, err, target, extra = handler(scenario, op.params)
-    except ComputationError as exc:
+    except (ComputationError, ValueError) as exc:
         return OpReport(index=op.index, op=op.op, target="", value=None,
                         error_estimate=None, expected=expected, tol=tol,
                         passed=None, error=f"{type(exc).__name__}: {exc}")
@@ -615,15 +631,9 @@ def _run_one(scenario: Scenario, op: OpRequest) -> OpReport:
                     passed=passed, error=None, extra=extra)
 
 
-def run_scenario(scenario: Scenario, parallel: bool = False) -> RunRecord:
-    """Execute all operations; reports keep the request order."""
-    if parallel:
-        with concurrent.futures.ThreadPoolExecutor() as pool:
-            reports = list(pool.map(lambda op: _run_one(scenario, op),
-                                    scenario.operations))
-    else:
-        reports = [_run_one(scenario, op) for op in scenario.operations]
-    reports.sort(key=lambda r: r.index)
+def run_scenario(scenario: Scenario) -> RunRecord:
+    """Execute all operations in request order."""
+    reports = [_run_one(scenario, op) for op in scenario.operations]
     passed = all(r.error is None and r.passed is not False for r in reports)
     return RunRecord(scenario=scenario.name, version=__version__,
                      paper_claim=scenario.paper_claim, reports=tuple(reports),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -10,7 +11,8 @@ from abgauge import (LandauField, LoopSpec, PathSpec, PhaseProbe, Point,
                      energy_cancellation, gauge_dependence_scan, gauge_value,
                      interaction_energy, interference_shift, landau_link1,
                      landau_link2, loop_phase, open_path_phase)
-from abgauge.errors import EndpointMismatch
+import abgauge.ab_phase as ab_phase
+from abgauge.errors import ComputationError, EndpointMismatch
 
 from helpers import random_polynomial_gauge, simpson_path_integral
 
@@ -104,6 +106,16 @@ class TestLoopPhase:
         assert all(p == pytest.approx(1.0, abs=1e-8) for p in phases)
         assert max(phases) - min(phases) < 1e-8
 
+    def test_undefined_winding_is_noted(self):
+        # The unit square from the origin has a corner on the axis, so its
+        # winding count is undefined; the phase itself is still the flux.
+        square = LoopSpec(PathSpec.polyline([(0, 0, 0), (1, 0, 0), (1, 1, 0),
+                                             (0, 1, 0), (0, 0, 0)]))
+        rep = loop_phase(PhaseProbe(base_field=LandauField("S", 1.0)), square)
+        assert rep.phase == pytest.approx(1.0, abs=1e-8)
+        assert rep.winding is None
+        assert any("AxisCrossing" in n for n in rep.notes)
+
 
 class TestInterference:
     def test_upper_minus_lower_encloses_flux(self):
@@ -177,6 +189,25 @@ class TestGaugeScan:
     def test_closed_path_rejected(self):
         with pytest.raises(ValueError):
             gauge_dependence_scan(PathSpec.circle((0, 0, 0), 2.0), [None],
+                                  PhaseProbe(solenoid=S))
+
+    @pytest.mark.parametrize("shift", ["transverse_part", "gauge_part"])
+    def test_broken_invariants_raise(self, monkeypatch, shift):
+        # A phase routine whose transverse parts (or whose gauge parts)
+        # drift by 1e-6 between gauges must be caught, also under python -O.
+        real = ab_phase.open_path_phase
+
+        def drifting(probe, path, tol=ab_phase.PHASE_TOL):
+            rep = real(probe, path, tol=tol)
+            if probe.gauge is None:
+                return rep
+            return replace(rep, phase=rep.phase + 1e-6,
+                           **{shift: getattr(rep, shift) + 1e-6})
+
+        monkeypatch.setattr(ab_phase, "open_path_phase", drifting)
+        path = PathSpec.segment((2, 0, 0), (3, 0, 0))
+        with pytest.raises(ComputationError):
+            gauge_dependence_scan(path, [None, PolynomialGauge(((1, 0, 0, 1.0),))],
                                   PhaseProbe(solenoid=S))
 
     def test_pairwise_differences_for_random_gauges(self, rng):

@@ -39,6 +39,12 @@ def minimal_scenario(**overrides) -> dict:
 
 
 class TestScenarioIngestion:
+    def test_bundled_list_matches_package(self):
+        folder = resources.files("abgauge").joinpath("scenarios")
+        present = {p.name.removesuffix(".json") for p in folder.iterdir()
+                   if p.name.endswith(".json")}
+        assert sorted(BUNDLED) == sorted(present)
+
     @pytest.mark.parametrize("name", BUNDLED)
     def test_bundled_scenarios_load(self, name):
         sc = load_scenario(bundled_path(name))
@@ -72,6 +78,20 @@ class TestScenarioIngestion:
     ])
     def test_removed_or_non_finite_settings_rejected(self, overrides):
         with pytest.raises(ParseError):
+            scenario_from_dict(minimal_scenario(**overrides))
+
+    @pytest.mark.parametrize("overrides", [
+        {"discs": {"d": {"center": [0, 0, 0], "radius": math.nan}}},
+        {"paths": {"c2": {"kind": "circle", "center": [0, 0, math.inf], "radius": 2.0}}},
+        {"operations": [{"op": "eval_field", "field": "solenoid.AS", "at": [math.nan, 0, 0]}]},
+        {"operations": [{"op": "line_integral", "field": "solenoid.AS", "path": "c2",
+                         "tol": math.nan}]},
+        {"operations": [{"op": "eval_field", "field": "solenoid.AS", "at": [2, 0, 0],
+                         "expect": {"value": [0, 0.25, 0], "tol": -math.inf}}]},
+        {"landau_b": -math.inf},
+    ])
+    def test_non_finite_numbers_rejected(self, overrides):
+        with pytest.raises(ParseError, match="non-finite"):
             scenario_from_dict(minimal_scenario(**overrides))
 
     def test_expect_needs_tolerance(self):
@@ -113,11 +133,16 @@ class TestScenarioExecution:
         assert exit_code(record) == 3
         assert "TooCloseToShell" in record.reports[0].error
 
-    def test_parallel_matches_sequential(self):
-        sc = load_scenario(bundled_path("loop_flux"))
-        seq = run_scenario(sc, parallel=False)
-        par = run_scenario(sc, parallel=True)
-        assert record_json(seq) == record_json(par)
+    @pytest.mark.parametrize("op", [
+        {"op": "shrinking_loop", "field": "gauge.sing", "eps": [1e-3, 1e-2, 1e-1]},
+        {"op": "interaction_energy", "model": "boyer", "v": [0.6, 0.8, 0.0],
+         "at": [2, 0, 0]},
+    ])
+    def test_handler_value_error_is_an_operation_error(self, op):
+        record = run_scenario(scenario_from_dict(minimal_scenario(operations=[op])))
+        assert exit_code(record) == 3
+        assert record.reports[0].error.startswith("ValueError: ")
+        assert record.reports[0].value is None
 
     def test_every_operation_reported_once(self):
         sc = load_scenario(bundled_path("loop_flux"))
@@ -246,6 +271,23 @@ class TestCli:
         p.write_text(json.dumps(minimal_scenario(quadrature={"half_lengths": [8, math.inf]})))
         assert main(["run", str(p), "--out", str(tmp_path)]) == 2
 
+    def test_run_non_finite_disc_radius_exits_2(self, tmp_path, capsys):
+        raw = minimal_scenario(discs={"d": {"center": [0, 0, 0], "radius": math.nan}})
+        p = tmp_path / "nan.json"
+        p.write_text(json.dumps(raw))  # json writes the NaN token and reads it back
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert "non-finite number at discs.d.radius" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_bad_window_exits_2(self, tmp_path):
+        raw = minimal_scenario(operations=[
+            {"op": "field_map", "field": "solenoid.AS", "window": [1, 2],
+             "out": str(tmp_path / "map.svg")}])
+        p = tmp_path / "window.json"
+        p.write_text(json.dumps(raw))
+        assert main(["run", str(p), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "map.svg").exists()
+
     def test_run_expectation_failure_exits_1(self, tmp_path):
         raw = minimal_scenario()
         raw["operations"][0]["expect"] = {"value": 42.0, "tol": 1e-12}
@@ -320,4 +362,41 @@ class TestCli:
     def test_removed_nz_flag_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "solenoid.AS.numeric", "--at", "2,0,0", "--nz", "8"])
+        assert exc.value.code == 2
+
+
+class TestCliExitCodes:
+    """Every verb runs as a scenario: degenerate input gets an exit code, not a traceback."""
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["flux", "--radius=-1"], 2, "radius"),
+        (["flux", "--radius=nan"], 2, "non-finite"),
+        (["eval", "solenoid.AS", "--at=nan,0,0"], 2, "non-finite"),
+        (["phase", "open", "--arc=2:0:1", "--tol=inf"], 2, "non-finite"),
+        (["phase", "loop", "--circle=0"], 2, "radius"),
+        (["phase", "loop", "--circle=2", "--turns=0"], 2, "turn"),
+        (["eval", "gauge.sing", "--at=0,0,0"], 3, "AxisCrossing"),
+        (["plot", "field", "solenoid.AS", "--window=1,2", "--out=map.svg"], 2, "window"),
+        (["string", "--eps=1e-3,1e-2,1e-1"], 3, "ValueError"),
+        (["phase", "loop", "--circle=1", "--charge=0"], 3, "ValueError"),
+        (["phase", "loop", "--segment=2,0,0:3,0,0"], 3, "NotClosed"),
+    ])
+    def test_degenerate_argv(self, argv, code, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "map.svg").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["phase", "open", "--arc=1:2"],
+        ["phase", "open", "--segment=1,0,0"],
+        ["phase", "loop", "--polyline=1,0,0;0,1"],
+        ["landau", "compare", "--corner=1,2,3"],
+    ])
+    def test_malformed_flag_is_a_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         assert exc.value.code == 2
