@@ -6,7 +6,11 @@ uniform-field Landau system (symmetric gauge, the two Landau gauges, the
 Bawin-Burnel gauge, and the scalar functions linking them).
 
 All vectors are returned in Cartesian components; the local cylindrical
-frame is resolved at the evaluation point.  Multi-valued gauge functions
+frame is resolved at the evaluation point.  Fields, gauge gradients and
+``domain_ok`` masks broadcast: a point of shape (3,) gives a (3,) vector,
+an (..., 3) array of points gives (..., 3) vectors, through one code path.
+Only the two per-point callables, ``CallableField`` and the Biot-Savart
+quadrature field, are applied row by row.  Multi-valued gauge functions
 take the continued azimuth as an explicit argument so that evaluation stays
 pure and branch tracking lives with path geometry.
 """
@@ -20,9 +24,26 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import AxisCrossing, OnShell
-from .geometry import AXIS_CUTOFF, as_xyz
+from .geometry import AXIS_CUTOFF, as_points, as_xyz
 
 SHELL_TOL = 1e-12
+
+
+def _components(p) -> tuple:
+    arr = as_points(p)
+    return arr[..., 0], arr[..., 1], arr[..., 2]
+
+
+def _stack(x, y, z) -> np.ndarray:
+    """Cartesian components, broadcast against each other, as (..., 3)."""
+    return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
+
+
+def per_point(fn, p) -> np.ndarray:
+    """Apply a one-point callable to each point of p, keeping p's shape."""
+    pts = as_points(p)
+    rows = [np.asarray(fn(q), dtype=float) for q in pts.reshape(-1, 3)]
+    return np.array(rows).reshape(pts.shape)
 
 
 @dataclass(frozen=True)
@@ -59,24 +80,18 @@ def solenoid_transverse_potential(p, s: SolenoidSpec) -> np.ndarray:
     outside; both branches meet at rho = R.  Continuous everywhere,
     including the axis, where it vanishes.
     """
-    x, y, z = as_xyz(p)
-    rho2 = x * x + y * y
-    if rho2 < s.R ** 2:
-        pref = s.flux / (2.0 * math.pi * s.R ** 2)
-    else:
-        pref = s.flux / (2.0 * math.pi * rho2)
-    return np.array([-pref * y, pref * x, 0.0])
+    x, y, _ = _components(p)
+    pref = s.flux / (2.0 * math.pi * np.maximum(x * x + y * y, s.R ** 2))
+    return _stack(-pref * y, pref * x, 0.0)
 
 
 def solenoid_b_field(p, s: SolenoidSpec) -> np.ndarray:
     """Uniform B e_z inside the shell, zero outside, undefined on it."""
-    x, y, z = as_xyz(p)
-    rho = math.hypot(x, y)
-    if abs(rho - s.R) < SHELL_TOL:
+    x, y, _ = _components(p)
+    rho = np.hypot(x, y)
+    if np.any(np.abs(rho - s.R) < SHELL_TOL):
         raise OnShell("magnetic field has no value on the current shell")
-    if rho < s.R:
-        return np.array([0.0, 0.0, s.B])
-    return np.zeros(3)
+    return _stack(0.0, 0.0, np.where(rho < s.R, s.B, 0.0))
 
 
 def transformed_potential(p, s: SolenoidSpec) -> np.ndarray:
@@ -85,14 +100,13 @@ def transformed_potential(p, s: SolenoidSpec) -> np.ndarray:
     Identically zero outside the solenoid; inside it keeps the uniform
     curl but picks up a 1/rho piece, so the axis is excluded.
     """
-    x, y, z = as_xyz(p)
+    x, y, _ = _components(p)
     rho2 = x * x + y * y
-    if rho2 < AXIS_CUTOFF ** 2:
+    if np.any(rho2 < AXIS_CUTOFF ** 2):
         raise AxisCrossing("transformed potential is singular on the axis")
-    if rho2 >= s.R ** 2:
-        return np.zeros(3)
+    outside = rho2 >= s.R ** 2
     pref = s.flux / (2.0 * math.pi) * (1.0 / s.R ** 2 - 1.0 / rho2)
-    return np.array([-pref * y, pref * x, 0.0])
+    return _stack(np.where(outside, 0.0, -pref * y), np.where(outside, 0.0, pref * x), 0.0)
 
 
 def string_flux(s: SolenoidSpec) -> float:
@@ -107,10 +121,6 @@ def string_flux(s: SolenoidSpec) -> float:
 # ---------------------------------------------------------------------------
 # Gauge functions
 # ---------------------------------------------------------------------------
-
-def _principal_azimuth(x: float, y: float) -> float:
-    return math.atan2(y, x)
-
 
 @dataclass(frozen=True)
 class PolynomialGauge:
@@ -135,14 +145,14 @@ class PolynomialGauge:
                          for (i, j, k, c) in self.coefficients)
 
     def gradient(self, p, azimuth: Optional[float] = None) -> np.ndarray:
-        x, y, z = as_xyz(p)
-        gx = math.fsum(c * i * x ** (i - 1) * y ** j * z ** k
-                       for (i, j, k, c) in self.coefficients if i > 0)
-        gy = math.fsum(c * j * x ** i * y ** (j - 1) * z ** k
-                       for (i, j, k, c) in self.coefficients if j > 0)
-        gz = math.fsum(c * k * x ** i * y ** j * z ** (k - 1)
-                       for (i, j, k, c) in self.coefficients if k > 0)
-        return np.array([gx, gy, gz])
+        x, y, z = _components(p)
+        gx = sum(c * i * x ** (i - 1) * y ** j * z ** k
+                 for (i, j, k, c) in self.coefficients if i > 0)
+        gy = sum(c * j * x ** i * y ** (j - 1) * z ** k
+                 for (i, j, k, c) in self.coefficients if j > 0)
+        gz = sum(c * k * x ** i * y ** j * z ** (k - 1)
+                 for (i, j, k, c) in self.coefficients if k > 0)
+        return _stack(gx, gy, gz)
 
 
 def landau_link1(B: float = 1.0) -> PolynomialGauge:
@@ -172,16 +182,16 @@ class SingularSolenoidGauge:
         x, y, z = as_xyz(p)
         if math.hypot(x, y) < AXIS_CUTOFF:
             raise AxisCrossing("singular gauge undefined on the axis")
-        az = _principal_azimuth(x, y) if azimuth is None else azimuth
+        az = math.atan2(y, x) if azimuth is None else azimuth
         return -self.solenoid.flux / (2.0 * math.pi) * az
 
     def gradient(self, p, azimuth: Optional[float] = None) -> np.ndarray:
-        x, y, z = as_xyz(p)
+        x, y, _ = _components(p)
         rho2 = x * x + y * y
-        if rho2 < AXIS_CUTOFF ** 2:
+        if np.any(rho2 < AXIS_CUTOFF ** 2):
             raise AxisCrossing("singular gauge gradient undefined on the axis")
         pref = -self.solenoid.flux / (2.0 * math.pi * rho2)
-        return np.array([-pref * y, pref * x, 0.0])
+        return _stack(-pref * y, pref * x, 0.0)
 
 
 @dataclass(frozen=True)
@@ -201,18 +211,17 @@ class BawinBurnelGauge:
         x, y, z = as_xyz(p)
         if math.hypot(x, y) < AXIS_CUTOFF:
             raise AxisCrossing("Bawin-Burnel gauge undefined on the axis")
-        az = _principal_azimuth(x, y) if azimuth is None else azimuth
+        az = math.atan2(y, x) if azimuth is None else azimuth
         return -0.5 * self.B * (x * x + y * y) * az
 
     def gradient(self, p, azimuth: Optional[float] = None) -> np.ndarray:
         # -B r phi e_r - (B r / 2) e_phi, written out in Cartesian components.
-        x, y, z = as_xyz(p)
-        if math.hypot(x, y) < AXIS_CUTOFF:
+        x, y, _ = _components(p)
+        if np.any(np.hypot(x, y) < AXIS_CUTOFF):
             raise AxisCrossing("Bawin-Burnel gradient undefined on the axis")
-        az = _principal_azimuth(x, y) if azimuth is None else azimuth
-        return np.array([-self.B * az * x + 0.5 * self.B * y,
-                         -self.B * az * y - 0.5 * self.B * x,
-                         0.0])
+        az = np.arctan2(y, x) if azimuth is None else azimuth
+        return _stack(-self.B * az * x + 0.5 * self.B * y,
+                      -self.B * az * y - 0.5 * self.B * x, 0.0)
 
 
 GaugeChoice = Union[PolynomialGauge, SingularSolenoidGauge, BawinBurnelGauge]
@@ -254,18 +263,18 @@ def landau_potential(variant: str, p, B: float = 1.0,
     S: (-B y / 2, B x / 2, 0); L1: (-B y, 0, 0); L2: (0, B x, 0);
     BB: -B r phi e_r, which needs the continued azimuth and excludes the axis.
     """
-    x, y, z = as_xyz(p)
+    x, y, _ = _components(p)
     if variant == "S":
-        return np.array([-0.5 * B * y, 0.5 * B * x, 0.0])
+        return _stack(-0.5 * B * y, 0.5 * B * x, 0.0)
     if variant == "L1":
-        return np.array([-B * y, 0.0, 0.0])
+        return _stack(-B * y, 0.0, 0.0)
     if variant == "L2":
-        return np.array([0.0, B * x, 0.0])
+        return _stack(0.0, B * x, 0.0)
     if variant == "BB":
-        if math.hypot(x, y) < AXIS_CUTOFF:
+        if np.any(np.hypot(x, y) < AXIS_CUTOFF):
             raise AxisCrossing("Bawin-Burnel potential undefined on the axis")
-        az = _principal_azimuth(x, y) if azimuth is None else azimuth
-        return np.array([-B * az * x, -B * az * y, 0.0])
+        az = np.arctan2(y, x) if azimuth is None else azimuth
+        return _stack(-B * az * x, -B * az * y, 0.0)
     raise ValueError(f"unknown Landau variant {variant!r}")
 
 
@@ -292,17 +301,19 @@ class FieldExpr:
     def __call__(self, p) -> np.ndarray:
         raise NotImplementedError
 
-    def domain_ok(self, p, margin: float = 0.0) -> bool:
-        x, y, z = as_xyz(p)
-        rho = math.hypot(x, y)
-        if self.excludes_axis and rho <= AXIS_CUTOFF + margin:
-            return False
-        if self.branch_cut and x < margin and abs(y) <= margin:
-            return False
-        return self._extra_domain_ok(rho, margin)
+    def domain_ok(self, p, margin: float = 0.0) -> np.ndarray:
+        """Mask of points inside the domain: () for one point, (...) for (..., 3)."""
+        x, y, _ = _components(p)
+        rho = np.hypot(x, y)
+        ok = self._extra_domain_ok(rho, margin)
+        if self.excludes_axis:
+            ok = ok & ~(rho <= AXIS_CUTOFF + margin)
+        if self.branch_cut:
+            ok = ok & ~((x < margin) & (np.abs(y) <= margin))
+        return ok
 
-    def _extra_domain_ok(self, rho: float, margin: float) -> bool:
-        return True
+    def _extra_domain_ok(self, rho: np.ndarray, margin: float) -> np.ndarray:
+        return np.full(rho.shape, True)
 
     def __add__(self, other: "FieldExpr") -> "FieldExpr":
         return SumField((self, other))
@@ -339,8 +350,8 @@ class SolenoidBField(FieldExpr):
     def __call__(self, p) -> np.ndarray:
         return solenoid_b_field(p, self.solenoid)
 
-    def _extra_domain_ok(self, rho: float, margin: float) -> bool:
-        return abs(rho - self.solenoid.R) > SHELL_TOL + margin
+    def _extra_domain_ok(self, rho: np.ndarray, margin: float) -> np.ndarray:
+        return np.abs(rho - self.solenoid.R) > SHELL_TOL + margin
 
 
 @dataclass(frozen=True)
@@ -411,13 +422,10 @@ class SumField(FieldExpr):
         return tuple(cuts)
 
     def __call__(self, p) -> np.ndarray:
-        total = np.zeros(3)
-        for t in self.terms:
-            total = total + t(p)
-        return total
+        return sum((t(p) for t in self.terms), np.zeros(3))
 
-    def domain_ok(self, p, margin: float = 0.0) -> bool:
-        return all(t.domain_ok(p, margin) for t in self.terms)
+    def domain_ok(self, p, margin: float = 0.0) -> np.ndarray:
+        return np.logical_and.reduce([t.domain_ok(p, margin) for t in self.terms])
 
 
 @dataclass(frozen=True)
@@ -440,18 +448,18 @@ class ScaledField(FieldExpr):
     def __call__(self, p) -> np.ndarray:
         return self.factor * self.base(p)
 
-    def domain_ok(self, p, margin: float = 0.0) -> bool:
+    def domain_ok(self, p, margin: float = 0.0) -> np.ndarray:
         return self.base.domain_ok(p, margin)
 
 
 @dataclass(frozen=True)
 class CallableField(FieldExpr):
-    """Wrap an arbitrary (x, y, z) -> vector callable as a field expression."""
+    """Wrap an arbitrary (x, y, z) -> vector callable, called once per point."""
 
     fn: object = None
 
     def __call__(self, p) -> np.ndarray:
-        return np.asarray(self.fn(as_xyz(p)), dtype=float)
+        return per_point(self.fn, p)
 
 
 # ---------------------------------------------------------------------------

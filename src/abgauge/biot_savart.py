@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analytic_fields import FieldExpr, SolenoidSpec
+from .analytic_fields import FieldExpr, SolenoidSpec, per_point
 from .errors import NonConvergent, TooCloseToShell
 from .extrapolation import neville_to_zero
 from .geometry import as_xyz
@@ -188,7 +188,11 @@ def numeric_b_field(p, s: SolenoidSpec, cfg: QuadratureConfig = QuadratureConfig
 
 @dataclass(frozen=True)
 class NumericBiotSavartField(FieldExpr):
-    """The quadrature potential as a field expression (shell band excluded)."""
+    """The quadrature potential as a field expression (shell band excluded).
+
+    Each point is its own quadrature, so arrays of points are evaluated row
+    by row.
+    """
 
     solenoid: SolenoidSpec = SolenoidSpec()
     config: QuadratureConfig = QuadratureConfig()
@@ -198,7 +202,7 @@ class NumericBiotSavartField(FieldExpr):
         return (self.solenoid.R,)
 
     def __call__(self, p) -> np.ndarray:
-        return numeric_potential(p, self.solenoid, self.config).value
+        return per_point(lambda q: numeric_potential(q, self.solenoid, self.config).value, p)
 
-    def _extra_domain_ok(self, rho: float, margin: float) -> bool:
-        return abs(rho - self.solenoid.R) > SHELL_BAND_FRACTION * self.solenoid.R + margin
+    def _extra_domain_ok(self, rho: np.ndarray, margin: float) -> np.ndarray:
+        return np.abs(rho - self.solenoid.R) > SHELL_BAND_FRACTION * self.solenoid.R + margin

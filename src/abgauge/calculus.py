@@ -5,6 +5,11 @@ panel doubling; disc fluxes use a polar product rule with radial splits at
 known breakpoints; shrinking-loop circulations extrapolate in the squared
 loop radius.  Delta-supported sources never enter any stencil or quadrature;
 their integrated contributions are added from their analytic accessors.
+
+Each refinement level is one array evaluation (blocks of ``_CHUNK`` points
+beyond that): a line level's points, velocities and field values, a polar
+flux grid, the 6 or 12 stencil points of any number of base points.  Terms
+are summed exactly with ``math.fsum``; a non-finite term raises ``NonFinite``.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -19,7 +25,10 @@ import numpy as np
 from .analytic_fields import FieldExpr, StringField
 from .errors import DomainViolation, NoConvergence, NoLimit
 from .extrapolation import neville_to_zero
-from .geometry import DiscSpec, LoopSpec, PathSpec, as_xyz
+from .geometry import DiscSpec, LoopSpec, PathSpec, as_points, as_xyz, require_finite
+
+# Points per field call; larger refinement levels are evaluated in blocks.
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -75,32 +84,44 @@ def _stencil_margin(cfg: DiffConfig) -> float:
 
 
 def _jacobian(f: FieldExpr, p, cfg: DiffConfig) -> np.ndarray:
-    """J[i, j] = d f_i / d x_j by central differences."""
-    base = as_xyz(p)
-    if not f.domain_ok(base, margin=_stencil_margin(cfg)):
-        raise DomainViolation("finite-difference stencil leaves the field's domain")
+    """J[..., i, j] = d f_i / d x_j by central differences at (..., 3) points.
+
+    All stencil points of all base points go to the field in one call.
+    """
+    base = as_points(p)
+    ok = f.domain_ok(base, margin=_stencil_margin(cfg))
+    if not np.all(ok):
+        bad = base.reshape(-1, 3)[np.argmin(np.ravel(ok))].tolist()
+        raise DomainViolation(f"finite-difference stencil at {bad} leaves the field's domain")
     h = cfg.h
-    cols = []
-    for axis in range(3):
-        e = np.zeros(3)
-        e[axis] = 1.0
-        if cfg.order == 2:
-            col = (f(base + h * e) - f(base - h * e)) / (2 * h)
-        else:
-            col = (8.0 * (f(base + h * e) - f(base - h * e))
-                   - (f(base + 2 * h * e) - f(base - 2 * h * e))) / (12 * h)
-        cols.append(col)
-    return np.column_stack(cols)
+    e = h * np.eye(3)
+    if cfg.order == 2:
+        v = f(base[..., None, :] + np.concatenate([e, -e]))
+        cols = (v[..., 0:3, :] - v[..., 3:6, :]) / (2 * h)
+    else:
+        v = f(base[..., None, :] + np.concatenate([e, -e, 2 * e, -2 * e]))
+        cols = (8.0 * (v[..., 0:3, :] - v[..., 3:6, :])
+                - (v[..., 6:9, :] - v[..., 9:12, :])) / (12 * h)
+    return np.swapaxes(cols, -1, -2)
+
+
+def _curl(j: np.ndarray) -> np.ndarray:
+    return np.stack([j[..., 2, 1] - j[..., 1, 2], j[..., 0, 2] - j[..., 2, 0],
+                     j[..., 1, 0] - j[..., 0, 1]], axis=-1)
+
+
+def _divergence(j: np.ndarray) -> np.ndarray:
+    return j[..., 0, 0] + j[..., 1, 1] + j[..., 2, 2]
 
 
 def numeric_curl(f: FieldExpr, p, cfg: DiffConfig = DiffConfig()) -> np.ndarray:
-    j = _jacobian(f, p, cfg)
-    return np.array([j[2, 1] - j[1, 2], j[0, 2] - j[2, 0], j[1, 0] - j[0, 1]])
+    """Curl at a point (3,) or at an (..., 3) array of points."""
+    return _curl(_jacobian(f, p, cfg))
 
 
-def numeric_divergence(f: FieldExpr, p, cfg: DiffConfig = DiffConfig()) -> float:
-    j = _jacobian(f, p, cfg)
-    return float(j[0, 0] + j[1, 1] + j[2, 2])
+def numeric_divergence(f: FieldExpr, p, cfg: DiffConfig = DiffConfig()):
+    """Divergence at a point (a float) or at an (..., 3) array of points."""
+    return _divergence(_jacobian(f, p, cfg))
 
 
 @dataclass(frozen=True)
@@ -117,7 +138,7 @@ class NumericCurlField(FieldExpr):
     def __call__(self, p) -> np.ndarray:
         return numeric_curl(self.base, p, self.cfg)
 
-    def domain_ok(self, p, margin: float = 0.0) -> bool:
+    def domain_ok(self, p, margin: float = 0.0) -> np.ndarray:
         return self.base.domain_ok(p, margin + _stencil_margin(self.cfg))
 
 
@@ -132,16 +153,19 @@ def _gl01(order: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+def _fsum_blocks(blocks) -> float:
+    """Exact sum of every entry of an iterable of arrays."""
+    return math.fsum(chain.from_iterable(b.ravel().tolist() for b in blocks))
+
+
 def _composite(g, panels: int, order: int) -> float:
+    """Composite rule for g, which maps an array of parameters to integrand values."""
     nodes, weights = _gl01(order)
     width = 1.0 / panels
-    terms = []
-    for k in range(panels):
-        a = k * width
-        for u, w in zip(nodes, weights):
-            t = a + width * u
-            terms.append(w * width * g(t))
-    return math.fsum(terms)
+    ts = (np.arange(panels)[:, None] * width + width * nodes).ravel()
+    w = np.tile(weights * width, panels)
+    return _fsum_blocks(w[i:i + _CHUNK] * g(ts[i:i + _CHUNK])
+                        for i in range(0, ts.size, _CHUNK))
 
 
 def _adaptive_integral(g, tol: float, order: int, max_doublings: int,
@@ -159,10 +183,21 @@ def _adaptive_integral(g, tol: float, order: int, max_doublings: int,
 
 
 def _domain_precheck(f: FieldExpr, path: PathSpec, n: int = 129) -> None:
-    for pt in path.sample(n):
-        if not f.domain_ok(pt):
-            raise DomainViolation(
-                f"path point {tuple(np.round(pt, 6))} is outside the field's domain")
+    pts = path.sample(n)
+    ok = f.domain_ok(pts)
+    if not ok.all():
+        pt = tuple(np.round(pts[np.argmin(ok)], 6).tolist())
+        raise DomainViolation(f"path point {pt} is outside the field's domain")
+
+
+def _integrand(f: FieldExpr, path: PathSpec):
+    """ts -> f(r(t)) . r'(t) on a forward path, one call per array of ts."""
+    def g(ts):
+        pts = path.points(ts)
+        vals = (f(pts) * path.velocities(ts)).sum(axis=1)
+        require_finite(vals, pts, lambda k: float(ts[k]), "line integrand")
+        return vals
+    return g
 
 
 def line_integral(f: FieldExpr, path: PathSpec, tol: float = 1e-9,
@@ -186,29 +221,19 @@ def line_integral(f: FieldExpr, path: PathSpec, tol: float = 1e-9,
                                  math.fsum(r.error_estimate for r in parts))
 
     if path.kind == "polyline":
-        verts = [np.asarray(v) for v in path.vertices]
+        verts = path.vertices
         nseg = len(verts) - 1
         _domain_precheck(f, path, n=max(129, 8 * nseg + 1))
-        vals, errs, pts = [], [], 0
-        for a, b in zip(verts, verts[1:]):
-            d = b - a
-
-            def g(t, a=a, d=d):
-                return float(np.dot(f(a + t * d), d))
-
-            v, e, n = _adaptive_integral(g, tol / nseg, order, max_doublings,
-                                         start_panels=1)
-            vals.append(v)
-            errs.append(e)
-            pts += n
-        return CirculationReport(math.fsum(vals), pts, math.fsum(errs))
+        parts = [_adaptive_integral(_integrand(f, PathSpec.segment(a, b)), tol / nseg,
+                                    order, max_doublings, start_panels=1)
+                 for a, b in zip(verts, verts[1:])]
+        return CirculationReport(math.fsum(v for v, _, _ in parts),
+                                 sum(n for _, _, n in parts),
+                                 math.fsum(e for _, e, _ in parts))
 
     _domain_precheck(f, path)
-
-    def g(t):
-        return float(np.dot(f(path._point(t)), path._velocity(t)))
-
-    val, err, n = _adaptive_integral(g, tol, order, max_doublings, start_panels=2)
+    val, err, n = _adaptive_integral(_integrand(f, path), tol, order, max_doublings,
+                                     start_panels=2)
     return CirculationReport(val, n, err)
 
 
@@ -218,29 +243,36 @@ def line_integral(f: FieldExpr, path: PathSpec, tol: float = 1e-9,
 
 def _polar_flux_level(f: FieldExpr, disc: DiscSpec, redges, level: int,
                       r_order: int, t_order: int) -> float:
+    """Polar product rule on the whole (radius x angle) node grid of one level."""
     r_nodes, r_weights = _gl01(r_order)
     t_nodes, t_weights = _gl01(t_order)
     cx, cy, cz = disc.center.x, disc.center.y, disc.center.z
     two_pi = 2.0 * math.pi
     rad_panels = 2 ** level
     ang_panels = 2 ** (level + 1)
-    terms = []
+    k = np.arange(rad_panels)[:, None]
+    r, wr = [], []
     for lo, hi in zip(redges, redges[1:]):
         pw = (hi - lo) / rad_panels
-        for k in range(rad_panels):
-            a = lo + k * pw
-            for ru, rw in zip(r_nodes, r_weights):
-                r = a + pw * ru
-                wr = rw * pw * r
-                for m in range(ang_panels):
-                    t0 = two_pi * m / ang_panels
-                    tw_width = two_pi / ang_panels
-                    for tu, tw in zip(t_nodes, t_weights):
-                        theta = t0 + tw_width * tu
-                        pt = np.array([cx + r * math.cos(theta),
-                                       cy + r * math.sin(theta), cz])
-                        terms.append(wr * tw * tw_width * float(f(pt)[2]))
-    return math.fsum(terms)
+        r.append((lo + k * pw + pw * r_nodes).ravel())
+        wr.append(np.tile(r_weights * pw, rad_panels) * r[-1])
+    r, wr = np.concatenate(r), np.concatenate(wr)
+    tw_width = two_pi / ang_panels
+    theta = (two_pi * np.arange(ang_panels)[:, None] / ang_panels + tw_width * t_nodes).ravel()
+    tw = np.tile(t_weights, ang_panels)
+    cos, sin = np.cos(theta), np.sin(theta)
+    rows = max(1, _CHUNK // theta.size)
+
+    def block(i):
+        rb = r[i:i + rows, None]
+        pts = np.stack(np.broadcast_arrays(cx + rb * cos, cy + rb * sin, cz), axis=-1)
+        fz = f(pts)[..., 2]
+        require_finite(fz.ravel(), pts.reshape(-1, 3),
+                       lambda k: [float(rb[k // theta.size, 0]), float(theta[k % theta.size])],
+                       "flux integrand", "(r, theta)")
+        return ((wr[i:i + rows, None] * tw) * tw_width) * fz
+
+    return _fsum_blocks(block(i) for i in range(0, r.size, rows))
 
 
 def disc_flux(f: FieldExpr, disc: DiscSpec, deltas: Sequence = (),
@@ -285,11 +317,11 @@ def stokes_residual(f: FieldExpr, loop: LoopSpec, disc: DiscSpec,
     The loop must be the rim of the disc; both sides are computed
     independently (quadrature against finite-difference curl quadrature).
     """
-    for t in np.linspace(0.0, 1.0, 17):
-        pt = loop.path.point_at(float(t))
-        rim = math.hypot(pt[0] - disc.center.x, pt[1] - disc.center.y)
-        if abs(rim - disc.radius) > 1e-9 or abs(pt[2] - disc.center.z) > 1e-9:
-            raise DomainViolation("loop is not the boundary of the disc")
+    pts = loop.path.points(np.linspace(0.0, 1.0, 17))
+    rim = np.hypot(pts[:, 0] - disc.center.x, pts[:, 1] - disc.center.y)
+    if not (np.all(np.abs(rim - disc.radius) <= 1e-9)
+            and np.all(np.abs(pts[:, 2] - disc.center.z) <= 1e-9)):
+        raise DomainViolation("loop is not the boundary of the disc")
     circ = line_integral(f, loop.path, tol=tol * 1e-2)
     flux = disc_flux(NumericCurlField(f, cfg), disc, tol=tol)
     return abs(circ.value - flux)
@@ -347,18 +379,11 @@ def helmholtz_classify(f: FieldExpr, sample_points, cfg: DiffConfig = DiffConfig
     is not the zero field this is the harmonic case (curl-free on the
     sampled region yet divergence-free), flagged in the notes.
     """
-    max_div = 0.0
-    max_curl = 0.0
-    max_mag = 0.0
-    for p in sample_points:
-        j = _jacobian(f, p, cfg)
-        div = abs(float(j[0, 0] + j[1, 1] + j[2, 2]))
-        curl = float(np.max(np.abs([j[2, 1] - j[1, 2],
-                                    j[0, 2] - j[2, 0],
-                                    j[1, 0] - j[0, 1]])))
-        max_div = max(max_div, div)
-        max_curl = max(max_curl, curl)
-        max_mag = max(max_mag, float(np.max(np.abs(f(p)))))
+    pts = np.asarray(sample_points, dtype=float).reshape(-1, 3)
+    j = _jacobian(f, pts, cfg)
+    max_div = float(np.max(np.abs(_divergence(j)), initial=0.0))
+    max_curl = float(np.max(np.abs(_curl(j)), initial=0.0))
+    max_mag = float(np.max(np.abs(f(pts)), initial=0.0))
 
     if max_div < threshold and max_curl < threshold:
         classification = "both"

@@ -5,8 +5,9 @@ Verbs: run a scenario file, evaluate a field at a point, compute open/loop
 phases, disc fluxes, the axis-string diagnostics, the Landau gauge
 comparison, and static SVG field maps.  Every verb but ``run`` builds a
 small scenario from its flags and runs it through the scenario engine, so
-input checks and exit codes (0 ok, 1 expectation failed, 2 bad input,
-3 numerical error) are the same as for scenario files.
+input checks and exit codes (0 ok, 1 expectation failed, 2 bad input or an
+output file that cannot be written, 3 numerical or per-operation error) are
+the same as for scenario files.
 """
 
 from __future__ import annotations
@@ -292,6 +293,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as exc:  # reading is a ParseError, so this is a record or --out file
+        print(f"error: cannot write {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_PARSE
 
 

@@ -29,6 +29,10 @@ class NonConvergent(ComputationError):
     """Truncation sequence does not approach its extrapolated limit monotonically."""
 
 
+class NonFinite(ComputationError):
+    """A sampled point or integrand value is NaN or infinite."""
+
+
 class NoConvergence(ComputationError):
     """Adaptive refinement exhausted its budget before reaching tolerance."""
 

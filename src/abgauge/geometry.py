@@ -1,10 +1,13 @@
 """Points, paths, loops, and discs, with continuous-azimuth bookkeeping.
 
-All values are immutable after construction and safe to share between
-threads.  Azimuth unwrapping is sample based: principal angles on a uniform
+Paths are evaluated on arrays: ``PathSpec.points(ts)`` and
+``PathSpec.velocities(ts)`` take an (N,) array of parameters in [0, 1] and
+return (N, 3); ``point_at``/``velocity_at`` are the one-row case.  All
+values are immutable after construction and safe to share between threads.
+Azimuth unwrapping is sample based: principal angles on a uniform
 parameter grid are continued onto the nearest branch, and callers that need
 a certified winding count double the sample count until the result
-stabilizes.
+stabilizes.  A non-finite sample stops the bookkeeping with ``NonFinite``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import AxisCrossing, NoConvergence, NotClosed
+from .errors import AxisCrossing, NoConvergence, NonFinite, NotClosed
 
 AXIS_CUTOFF = 1e-9
 CLOSURE_TOL = 1e-12
@@ -24,11 +27,17 @@ CLOSURE_TOL = 1e-12
 _VELOCITY_H = 1e-7
 
 
+def as_points(p) -> np.ndarray:
+    """Coerce a Point, a 3-vector or an (..., 3) array of points to float64."""
+    arr = p.as_array() if isinstance(p, Point) else np.asarray(p, dtype=float)
+    if arr.shape[-1:] != (3,):
+        raise ValueError(f"expected 3-vectors, got shape {arr.shape}")
+    return arr
+
+
 def as_xyz(point) -> np.ndarray:
     """Coerce a Point or length-3 sequence to a float64 array (x, y, z)."""
-    if isinstance(point, Point):
-        return point.as_array()
-    arr = np.asarray(point, dtype=float)
+    arr = as_points(point)
     if arr.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {arr.shape}")
     return arr
@@ -46,11 +55,6 @@ class Point:
     def from_cylindrical(cls, rho: float, phi: float, z: float) -> "Point":
         return cls(rho * math.cos(phi), rho * math.sin(phi), z)
 
-    @classmethod
-    def from_array(cls, arr) -> "Point":
-        x, y, z = np.asarray(arr, dtype=float)
-        return cls(float(x), float(y), float(z))
-
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
 
@@ -64,11 +68,26 @@ class Point:
         return math.atan2(self.y, self.x)
 
 
+def require_finite(values, points, param_at, what: str, name: str = "t") -> None:
+    """Raise NonFinite naming the first row whose value or point is NaN or infinite.
+
+    param_at maps a row index to the parameter(s) of that row, for the message.
+    """
+    if np.isfinite(values).all() and np.isfinite(points).all():
+        return
+    ok = np.isfinite(np.reshape(values, (len(points), -1))).all(axis=1)
+    k = int(np.argmin(ok & np.isfinite(points).all(axis=1)))
+    raise NonFinite(f"{what} is not finite at {name} = {param_at(k)}, "
+                    f"point {np.asarray(points)[k].tolist()}")
+
+
 @dataclass(frozen=True)
 class PathSpec:
     """Oriented curve over the unit parameter interval.
 
-    Three storage kinds: a parametric map (optionally with an analytic
+    Four storage kinds: a circular arc stored as data (center, radius,
+    start phase, sweep; a circle is an arc of sweep 2 pi turns), a
+    parametric map of one parameter (optionally with an analytic
     derivative), a polyline over explicit vertices, or a concatenation of
     sub-paths.  Reversal is a flag, so that integrators can evaluate the
     underlying forward curve on identical quadrature nodes and negate.
@@ -79,12 +98,14 @@ class PathSpec:
     dfn: Optional[Callable[[float], np.ndarray]] = None
     vertices: Optional[tuple] = None
     children: Optional[tuple] = None
+    arc: Optional[tuple] = None
     is_reversed: bool = False
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def parametric(cls, fn, derivative=None) -> "PathSpec":
+        """Path from a map t -> 3-vector, called once per parameter value."""
         return cls(kind="parametric", fn=fn, dfn=derivative)
 
     @classmethod
@@ -102,40 +123,21 @@ class PathSpec:
     def circle(cls, center, radius: float, turns: int = 1,
                start_phase: float = 0.0) -> "PathSpec":
         """z-normal circle; positive turns wind counterclockwise."""
-        if radius <= 0:
-            raise ValueError("circle radius must be positive")
         if turns == 0:
             raise ValueError("circle needs a nonzero turn count")
-        c = as_xyz(center)
-        sweep = 2.0 * math.pi * turns
-
-        def fn(t, c=c, r=radius, p0=start_phase, sw=sweep):
-            a = p0 + sw * t
-            return np.array([c[0] + r * math.cos(a), c[1] + r * math.sin(a), c[2]])
-
-        def dfn(t, c=c, r=radius, p0=start_phase, sw=sweep):
-            a = p0 + sw * t
-            return np.array([-r * sw * math.sin(a), r * sw * math.cos(a), 0.0])
-
-        return cls(kind="parametric", fn=fn, dfn=dfn)
+        return cls._arc(center, radius, start_phase, 2.0 * math.pi * turns, "circle")
 
     @classmethod
     def arc(cls, center, radius: float, phi0: float, phi1: float) -> "PathSpec":
         """z-normal circular arc swept from azimuth phi0 to phi1."""
+        return cls._arc(center, radius, phi0, phi1 - phi0, "arc")
+
+    @classmethod
+    def _arc(cls, center, radius, phase, sweep, what) -> "PathSpec":
         if radius <= 0:
-            raise ValueError("arc radius must be positive")
-        c = as_xyz(center)
-        sweep = phi1 - phi0
-
-        def fn(t, c=c, r=radius, p0=phi0, sw=sweep):
-            a = p0 + sw * t
-            return np.array([c[0] + r * math.cos(a), c[1] + r * math.sin(a), c[2]])
-
-        def dfn(t, c=c, r=radius, p0=phi0, sw=sweep):
-            a = p0 + sw * t
-            return np.array([-r * sw * math.sin(a), r * sw * math.cos(a), 0.0])
-
-        return cls(kind="parametric", fn=fn, dfn=dfn)
+            raise ValueError(f"{what} radius must be positive")
+        c = tuple(float(v) for v in as_xyz(center))
+        return cls(kind="arc", arc=(c, float(radius), float(phase), float(sweep)))
 
     @classmethod
     def concat(cls, *paths: "PathSpec") -> "PathSpec":
@@ -148,60 +150,72 @@ class PathSpec:
 
     # -- evaluation ----------------------------------------------------
 
+    def points(self, ts) -> np.ndarray:
+        """(N, 3) points at an (N,) array of parameters."""
+        ts = np.asarray(ts, dtype=float)
+        return self._point(1.0 - ts if self.is_reversed else ts)
+
+    def velocities(self, ts) -> np.ndarray:
+        """(N, 3) derivatives d point / d t at an (N,) array of parameters."""
+        ts = np.asarray(ts, dtype=float)
+        if self.is_reversed:
+            return -self._forward(1.0 - ts, velocity=True)
+        return self._forward(ts, velocity=True)
+
     def point_at(self, t: float) -> np.ndarray:
-        tt = 1.0 - t if self.is_reversed else t
-        return self._point(tt)
+        return self.points([t])[0]
 
     def velocity_at(self, t: float) -> np.ndarray:
-        tt = 1.0 - t if self.is_reversed else t
-        v = self._velocity(tt)
-        return -v if self.is_reversed else v
+        return self.velocities([t])[0]
 
-    def _point(self, t: float) -> np.ndarray:
-        if self.kind == "parametric":
-            return np.asarray(self.fn(t), dtype=float)
-        if self.kind == "polyline":
-            verts = self.vertices
-            nseg = len(verts) - 1
-            s = min(max(t, 0.0), 1.0) * nseg
-            i = min(int(s), nseg - 1)
-            u = s - i
-            a = np.asarray(verts[i])
-            b = np.asarray(verts[i + 1])
-            return a + u * (b - a)
-        if self.kind == "concat":
-            m = len(self.children)
-            s = min(max(t, 0.0), 1.0) * m
-            i = min(int(s), m - 1)
-            return self.children[i].point_at(s - i)
-        raise ValueError(f"unknown path kind {self.kind!r}")
+    def _point(self, ts: np.ndarray) -> np.ndarray:
+        """Points of the forward curve at an (N,) parameter array."""
+        return self._forward(ts, velocity=False)
 
-    def _velocity(self, t: float) -> np.ndarray:
+    def _forward(self, ts: np.ndarray, velocity: bool) -> np.ndarray:
+        """Points or velocities of the forward curve at parameters ts."""
+        if self.kind == "arc":
+            (cx, cy, cz), r, phase, sweep = self.arc
+            a = phase + sweep * ts
+            cos, sin = np.cos(a), np.sin(a)
+            if velocity:
+                return np.stack([-r * sweep * sin, r * sweep * cos, np.zeros_like(a)], axis=1)
+            return np.stack([cx + r * cos, cy + r * sin, np.full_like(a, cz)], axis=1)
         if self.kind == "parametric":
-            if self.dfn is not None:
-                return np.asarray(self.dfn(t), dtype=float)
-            h = _VELOCITY_H
-            if t < h:
-                return (-3.0 * self._point(t) + 4.0 * self._point(t + h)
-                        - self._point(t + 2 * h)) / (2 * h)
-            if t > 1.0 - h:
-                return (3.0 * self._point(t) - 4.0 * self._point(t - h)
-                        + self._point(t - 2 * h)) / (2 * h)
-            return (self._point(t + h) - self._point(t - h)) / (2 * h)
+            if velocity and self.dfn is None:
+                return self._numeric_velocities(ts)
+            fn = self.dfn if velocity else self.fn
+            rows = [np.asarray(fn(t), dtype=float) for t in ts.tolist()]
+            return np.array(rows).reshape(-1, 3)
+        m = len(self.children) if self.kind == "concat" else len(self.vertices) - 1
+        s = np.clip(ts, 0.0, 1.0) * m
+        i = np.minimum(s.astype(int), m - 1)
         if self.kind == "polyline":
-            verts = self.vertices
-            nseg = len(verts) - 1
-            s = min(max(t, 0.0), 1.0) * nseg
-            i = min(int(s), nseg - 1)
-            a = np.asarray(verts[i])
-            b = np.asarray(verts[i + 1])
-            return (b - a) * nseg
-        if self.kind == "concat":
-            m = len(self.children)
-            s = min(max(t, 0.0), 1.0) * m
-            i = min(int(s), m - 1)
-            return self.children[i].velocity_at(s - i) * m
-        raise ValueError(f"unknown path kind {self.kind!r}")
+            v = np.asarray(self.vertices)
+            d = v[i + 1] - v[i]
+            return d * m if velocity else v[i] + (s - i)[:, None] * d
+        out = np.empty((len(ts), 3))
+        for k, child in enumerate(self.children):
+            sel = i == k
+            if sel.any():
+                u = s[sel] - k
+                out[sel] = child.velocities(u) * m if velocity else child.points(u)
+        return out
+
+    def _numeric_velocities(self, ts: np.ndarray) -> np.ndarray:
+        """Second-order differences of a parametric map, one sided near the ends."""
+        p = self._point
+        h = _VELOCITY_H
+        lo, hi = ts < h, ts > 1.0 - h
+        mid = ~(lo | hi)
+        out = np.empty((len(ts), 3))
+        t = ts[lo]
+        out[lo] = (-3.0 * p(t) + 4.0 * p(t + h) - p(t + 2 * h)) / (2 * h)
+        t = ts[hi]
+        out[hi] = (3.0 * p(t) - 4.0 * p(t - h) + p(t - 2 * h)) / (2 * h)
+        t = ts[mid]
+        out[mid] = (p(t + h) - p(t - h)) / (2 * h)
+        return out
 
     # -- structure -----------------------------------------------------
 
@@ -229,14 +243,14 @@ class PathSpec:
         if n < 2:
             raise ValueError("need at least 2 samples")
         if self.is_reversed:
-            forward = replace(self, is_reversed=False)
-            return forward.sample(n)[::-1].copy()
-        ts = np.linspace(0.0, 1.0, n)
-        return np.array([self._point(float(t)) for t in ts])
+            return self.reverse().sample(n)[::-1].copy()
+        return self.points(np.linspace(0.0, 1.0, n))
 
     def check_sampled_continuity(self, n: int = 4096) -> bool:
-        """True when no sampled gap exceeds 10x the mean gap."""
+        """True when every sample is finite and no gap exceeds 10x the mean gap."""
         pts = self.sample(n)
+        if not np.isfinite(pts).all():
+            return False
         gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         mean = float(gaps.mean())
         return bool(float(gaps.max()) <= 10.0 * mean) if mean > 0 else True
@@ -249,6 +263,7 @@ def _wrap_to_pi(deltas: np.ndarray) -> np.ndarray:
 
 def _raw_azimuths(path: PathSpec, n_samples: int) -> np.ndarray:
     pts = path.sample(n_samples)
+    require_finite(pts, pts, lambda k: k / (n_samples - 1), "path sample")
     rho = np.hypot(pts[:, 0], pts[:, 1])
     if np.any(rho < AXIS_CUTOFF):
         raise AxisCrossing(
@@ -365,11 +380,6 @@ class DiscSpec:
 
     def contains_axis(self) -> bool:
         return math.hypot(self.center.x, self.center.y) < self.radius
-
-    def point_on(self, r: float, theta: float) -> np.ndarray:
-        return np.array([self.center.x + r * math.cos(theta),
-                         self.center.y + r * math.sin(theta),
-                         self.center.z])
 
     def boundary(self) -> LoopSpec:
         """Rim loop oriented by the right-hand rule around the normal."""

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+import numpy as np
+
 from .analytic_fields import FieldExpr, SolenoidSpec
 from .errors import DomainViolation
 
@@ -49,25 +51,15 @@ def emit_field_map(field: FieldExpr, window, resolution, out_path,
         return (x - xmin) * sx, (ymax - y) * sy
 
     cell_px = min(width / nx, height / ny)
-    centers = []
-    for j in range(ny):
-        cy = ymin + (j + 0.5) * (ymax - ymin) / ny
-        for i in range(nx):
-            cx = xmin + (i + 0.5) * (xmax - xmin) / nx
-            centers.append((cx, cy))
-
-    samples = []
-    max_mag = 0.0
-    for cx, cy in centers:
-        p = (cx, cy, z_plane)
-        if not field.domain_ok(p):
-            samples.append(None)
-            continue
-        vec = field(p)
-        mag = math.hypot(float(vec[0]), float(vec[1]))
-        samples.append((cx, cy, float(vec[0]), float(vec[1]), mag))
-        max_mag = max(max_mag, mag)
-
+    cy, cx = np.meshgrid(ymin + (np.arange(ny) + 0.5) * (ymax - ymin) / ny,
+                         xmin + (np.arange(nx) + 0.5) * (xmax - xmin) / nx, indexing="ij")
+    centers = np.stack([cx.ravel(), cy.ravel(), np.full(cx.size, float(z_plane))], axis=1)
+    centers = centers[field.domain_ok(centers)]  # cells off the domain get no arrow
+    vec = field(centers)
+    mags = np.hypot(vec[:, 0], vec[:, 1])
+    columns = (centers[:, 0], centers[:, 1], vec[:, 0], vec[:, 1], mags)
+    samples = zip(*(c.tolist() for c in columns))
+    max_mag = float(np.max(mags, initial=0.0))
     scale = (0.45 * cell_px / max_mag) if max_mag > 0 else 1.0
 
     parts = [
@@ -83,10 +75,7 @@ def emit_field_map(field: FieldExpr, window, resolution, out_path,
             f'<circle cx="{_fmt(ox)}" cy="{_fmt(oy)}" r="{_fmt(solenoid.R * sx)}" '
             'fill="none" stroke="#888888" stroke-width="1.5"/>')
 
-    for entry in samples:
-        if entry is None:
-            continue
-        cx, cy, vx, vy, mag = entry
+    for cx, cy, vx, vy, mag in samples:
         px, py = to_px(cx, cy)
         # Screen y grows downward, so the y component flips.
         dx = vx * scale

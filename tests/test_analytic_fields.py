@@ -227,3 +227,65 @@ class TestFieldExprAlgebra:
         assert bb.branch_cut
         assert not bb.domain_ok((-1.0, 0.0, 0.0), margin=1e-6)
         assert bb.domain_ok((1.0, 0.0, 0.0))
+
+
+def _builtin_fields():
+    from abgauge import (CallableField, DiffConfig, NumericBiotSavartField,
+                         PolynomialGauge, QuadratureConfig, SolenoidBField,
+                         TransformedPotentialField)
+    from abgauge.calculus import NumericCurlField
+    poly = PolynomialGauge(((2, 1, 0, 0.7), (0, 0, 3, -0.2), (1, 0, 0, 1.5)), name="p")
+    return {
+        "solenoid.AS": SolenoidTransverseField(S),
+        "solenoid.B": SolenoidBField(SolenoidSpec(1.3, 0.8)),
+        "solenoid.Aprime": TransformedPotentialField(S),
+        "gauge.sing": GaugeGradientField(SingularSolenoidGauge(S)),
+        "gauge.chitilde": GaugeGradientField(BawinBurnelGauge(1.4)),
+        "polynomial": GaugeGradientField(poly),
+        **{f"landau.{v}": LandauField(v, 0.9) for v in ("S", "L1", "L2", "BB")},
+        "sum and scale": 2.5 * SolenoidTransverseField(S) + -GaugeGradientField(poly),
+        "callable": CallableField(lambda p: np.array([p[1] * p[2], -p[0], 1.0])),
+        "numeric curl": NumericCurlField(SolenoidTransverseField(S), DiffConfig(1e-3, 4)),
+        "numeric potential": NumericBiotSavartField(S, QuadratureConfig(n_phi=8)),
+    }
+
+
+# Off the axis, the shell, and the negative x-axis, so every field is defined.
+ROWS = np.array([[0.5, 0.2, 0.0], [2.0, -1.0, 0.3], [-1.5, 0.7, -2.0],
+                 [0.1, -0.3, 1.0], [3.0, 2.5, 0.0], [-0.4, -0.6, 0.5]])
+
+
+class TestArrayContract:
+    """One code path: (N, 3) in gives the stacked (3,) results."""
+
+    @pytest.mark.parametrize("name", list(_builtin_fields()))
+    def test_field_on_rows_equals_row_by_row(self, name):
+        f = _builtin_fields()[name]
+        rows = ROWS[:2] if name == "numeric potential" else ROWS
+        stacked = np.array([f(p) for p in rows])
+        assert f(rows).shape == rows.shape
+        assert np.array_equal(f(rows), stacked)
+        assert np.array_equal(f(rows.reshape(1, -1, 3))[0], stacked)
+
+    @pytest.mark.parametrize("name", list(_builtin_fields()))
+    def test_domain_mask_equals_row_by_row(self, name):
+        f = _builtin_fields()[name]
+        edge = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [1.3, 0.0, 0.0], [-2.0, 0.0, 0.0],
+                         [0.0, 1e-10, 0.0], [-1.0, 1e-7, 0.0]])
+        rows = np.concatenate([ROWS, edge])
+        for margin in (0.0, 1e-6):
+            mask = f.domain_ok(rows, margin)
+            assert mask.shape == (len(rows),)
+            assert mask.tolist() == [bool(f.domain_ok(p, margin)) for p in rows]
+
+    def test_gauge_gradients_broadcast(self):
+        for g in (SingularSolenoidGauge(S), BawinBurnelGauge(1.1), landau_link1(0.5)):
+            assert np.array_equal(gauge_gradient(g, ROWS),
+                                  np.array([gauge_gradient(g, p) for p in ROWS]))
+
+    def test_any_singular_row_raises(self):
+        rows = np.concatenate([ROWS, [[0.0, 0.0, 0.0]]])
+        with pytest.raises(AxisCrossing):
+            transformed_potential(rows, S)
+        with pytest.raises(OnShell):
+            solenoid_b_field(np.concatenate([ROWS, [[0.0, 1.0, 0.0]]]), S)

@@ -11,7 +11,7 @@ from abgauge import (CallableField, DiffConfig, DiscSpec, GaugeGradientField,
                      helmholtz_classify, landau_link1, landau_link2,
                      line_integral, numeric_curl, numeric_divergence,
                      shrinking_loop_circulation, stokes_residual)
-from abgauge.errors import DomainViolation, NoConvergence, NoLimit
+from abgauge.errors import DomainViolation, NoConvergence, NoLimit, NonFinite
 
 from helpers import cylinder_points, random_polynomial_gauge, simpson_path_integral
 
@@ -277,3 +277,45 @@ class TestDiffConfig:
             DiffConfig(h=-1.0)
         with pytest.raises(ValueError):
             DiffConfig(order=3)
+
+
+class TestNonFiniteStopsRefinement:
+    def test_nan_field_on_circle_fails_at_level_zero(self):
+        calls = []
+
+        def nan_field(p):
+            calls.append(p)
+            return np.array([math.nan, 0.0, 0.0])
+
+        message = r"line integrand is not finite at t = [\d.e-]+, point \["
+        with pytest.raises(NonFinite, match=message):
+            line_integral(CallableField(nan_field), PathSpec.circle((0, 0, 0), 2.0),
+                          max_doublings=12)
+        assert len(calls) == 2 * 8  # the first level: 2 panels of order 8
+
+    def test_infinite_value_on_a_polyline_segment(self):
+        f = CallableField(lambda p: np.array([math.inf if p[0] > 1.5 else 1.0, 0.0, 0.0]))
+        path = PathSpec.polyline([(0, 0, 0), (1, 0, 0), (2, 0, 0)])
+        with pytest.raises(NonFinite, match="line integrand"):
+            line_integral(f, path)
+
+    def test_nan_flux_integrand_names_the_polar_node(self):
+        f = CallableField(lambda p: np.array([0.0, 0.0, math.nan if p[0] > 0.3 else 1.0]))
+        with pytest.raises(NonFinite, match=r"flux integrand is not finite at \(r, theta\) = \["):
+            disc_flux(f, DiscSpec(Point(0, 0, 0), 1.0))
+
+
+class TestStencilArrays:
+    def test_curl_and_divergence_on_rows(self):
+        rows = np.array([[0.5, 0.2, 0.0], [2.0, -1.0, 0.3], [-1.5, 0.7, -2.0]])
+        for cfg in (DiffConfig(1e-4, 2), DiffConfig(1e-3, 4)):
+            assert np.array_equal(numeric_curl(AS, rows, cfg),
+                                  np.array([numeric_curl(AS, p, cfg) for p in rows]))
+            assert np.array_equal(numeric_divergence(AS, rows, cfg),
+                                  np.array([numeric_divergence(AS, p, cfg) for p in rows]))
+
+    def test_one_row_off_the_domain_raises(self):
+        ap = TransformedPotentialField(S)
+        rows = np.array([[0.5, 0.2, 0.0], [5e-5, 0.0, 0.0]])
+        with pytest.raises(DomainViolation, match="5e-05"):
+            numeric_curl(ap, rows, DiffConfig(h=1e-4, order=2))

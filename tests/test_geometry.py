@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from abgauge import LoopSpec, PathSpec, Point, winding_number
-from abgauge.errors import AxisCrossing, NotClosed
+from abgauge.errors import AxisCrossing, NonFinite, NotClosed
 from abgauge.geometry import azimuth_change, continuous_azimuth, endpoint_azimuths
 
 
@@ -160,3 +160,70 @@ class TestDiscSpec:
         assert winding_number(disc.boundary()) == 1
         flipped = DiscSpec(Point(0, 0, 0), 2.0, normal=(0.0, 0.0, -1.0))
         assert winding_number(flipped.boundary()) == -1
+
+
+def _every_path_kind():
+    arc = PathSpec.arc((0.2, -0.1, 0.5), 1.3, 0.3, 2.8)
+    square = PathSpec.polyline([(1, 1, 0), (-1, 1, 0), (-1, -1, 0), (1, -1, 0), (1, 1, 0)])
+    inner = PathSpec.concat(PathSpec.arc((0, 0, 0), 2.0, 0.0, 1.0),
+                            PathSpec.arc((0, 0, 0), 2.0, 1.0, 2.5).reverse().reverse())
+    tail = PathSpec.segment(inner.end, (0.0, 3.0, 1.0))
+    return {
+        "circle": PathSpec.circle((0.4, 0.1, -0.3), 1.7, turns=-2, start_phase=0.9),
+        "arc": arc,
+        "segment": PathSpec.segment((1, 2, 3), (4, 5, 6)),
+        "polyline": square,
+        "reversed arc": arc.reverse(),
+        "reversed polyline": square.reverse(),
+        "nested concat": PathSpec.concat(inner, tail.reverse().reverse()),
+        "reversed nested concat": PathSpec.concat(inner, tail).reverse(),
+        "parametric": PathSpec.parametric(
+            lambda t: np.array([math.cos(3 * t), t * t, math.sin(t)]),
+            lambda t: np.array([-3 * math.sin(3 * t), 2 * t, math.cos(t)])),
+        "parametric, numeric velocity": PathSpec.parametric(
+            lambda t: np.array([math.cos(3 * t), t * t, math.sin(t)])),
+        "reversed parametric": PathSpec.parametric(
+            lambda t: np.array([1.0 + t, t ** 3, 0.0])).reverse(),
+    }
+
+
+class TestArrayContract:
+    """points/velocities on a parameter array are the stacked one-row results."""
+
+    TS = np.concatenate([[0.0, 1e-9, 0.25, 0.5, 1.0 - 1e-9, 1.0], np.linspace(0, 1, 37)])
+
+    @pytest.mark.parametrize("name", list(_every_path_kind()))
+    def test_points_are_stacked_point_at(self, name):
+        path = _every_path_kind()[name]
+        pts = path.points(self.TS)
+        assert pts.shape == (len(self.TS), 3)
+        assert np.array_equal(pts, np.array([path.point_at(t) for t in self.TS]))
+
+    @pytest.mark.parametrize("name", list(_every_path_kind()))
+    def test_velocities_are_stacked_velocity_at(self, name):
+        path = _every_path_kind()[name]
+        vel = path.velocities(self.TS)
+        assert vel.shape == (len(self.TS), 3)
+        assert np.array_equal(vel, np.array([path.velocity_at(t) for t in self.TS]))
+
+    @pytest.mark.parametrize("name", list(_every_path_kind()))
+    def test_reversed_samples_mirror_forward_bitwise(self, name):
+        path = _every_path_kind()[name]
+        assert np.array_equal(path.reverse().sample(257), path.sample(257)[::-1])
+
+    def test_empty_parameter_array(self):
+        for path in _every_path_kind().values():
+            assert path.points(np.array([])).shape == (0, 3)
+
+
+class TestNonFiniteSamples:
+    def test_azimuth_stops_at_a_nan_point(self):
+        path = PathSpec.parametric(lambda t: np.array([1.0, math.nan if t > 0.5 else t, 0.0]))
+        with pytest.raises(NonFinite, match=r"path sample is not finite at t = 0\.5\d*, point"):
+            azimuth_change(path, 2049)
+        with pytest.raises(NonFinite):
+            winding_number(LoopSpec(PathSpec.concat(path, PathSpec.segment(path.end, path.start))))
+
+    def test_infinite_sample_fails_continuity(self):
+        path = PathSpec.parametric(lambda t: np.array([1.0, math.inf if t > 0.9 else t, 0.0]))
+        assert not path.check_sampled_continuity()

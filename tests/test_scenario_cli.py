@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
 from importlib import resources
 
@@ -89,10 +90,27 @@ class TestScenarioIngestion:
         {"operations": [{"op": "eval_field", "field": "solenoid.AS", "at": [2, 0, 0],
                          "expect": {"value": [0, 0.25, 0], "tol": -math.inf}}]},
         {"landau_b": -math.inf},
+        {"paths": {"c2": {"kind": "circle", "radius": 2.0, "turns": 10 ** 400}}},
     ])
     def test_non_finite_numbers_rejected(self, overrides):
         with pytest.raises(ParseError, match="non-finite"):
             scenario_from_dict(minimal_scenario(**overrides))
+
+    @pytest.mark.parametrize("op, where", [
+        ({"op": "eval_field", "field": "solenoid.AS"}, "at operations.0: 'at' is a required"),
+        ({"op": "eval_field", "field": "solenoid.AS", "at": [1, 2]}, "at operations.0.at: "),
+        ({"op": "interaction_energy", "model": "boyer", "at": [2, 0, 0]},
+         "at operations.0: 'v' is a required"),
+        ({"op": "shrinking_loop", "field": "gauge.sing", "center": [0, 0]},
+         "at operations.0.center: "),
+        ({"op": "curl_scan", "field": "solenoid.AS", "target": "z"}, "at operations.0.target: "),
+        ({"op": "line_integral", "field": "solenoid.AS", "path": "c2", "tol": 0},
+         "at operations.0.tol: "),
+        ({"op": "gauge_scan", "path": "c2"}, "at operations.0: 'gauges' is a required"),
+    ])
+    def test_operation_parameters_checked_at_parse(self, op, where):
+        with pytest.raises(ParseError, match=re.escape(where)):
+            scenario_from_dict(minimal_scenario(operations=[op]))
 
     def test_expect_needs_tolerance(self):
         raw = minimal_scenario()
@@ -287,6 +305,45 @@ class TestCli:
         p.write_text(json.dumps(raw))
         assert main(["run", str(p), "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "map.svg").exists()
+
+    def test_run_missing_operation_parameter_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "noat.json"
+        p.write_text(json.dumps({"name": "noat", "operations": [
+            {"op": "eval_field", "field": "solenoid.AS"}]}))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "operations.0" in err and "Traceback" not in err
+
+    def test_plot_into_missing_directory_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "x.svg"
+        assert main(["plot", "field", "solenoid.AS", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "FileNotFoundError" in err and "Traceback" not in err
+
+    def test_run_field_map_into_missing_directory_records_the_error(self, tmp_path):
+        raw = minimal_scenario(operations=[
+            {"op": "field_map", "field": "solenoid.AS", "out": str(tmp_path / "nodir" / "m.svg")},
+            {"op": "string_flux"}])
+        p = tmp_path / "map.json"
+        p.write_text(json.dumps(raw))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 3
+        reports = json.loads((tmp_path / "out" / "t.json").read_text())["reports"]
+        assert reports[0]["error"].startswith("FileNotFoundError: ")
+        assert reports[1]["error"] is None
+
+    def test_run_into_unwritable_output_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["run", bundled_path("loop_flux"), "--out", str(blocker)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {blocker}: ")
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_out_file_into_missing_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "x.json"
+        assert main(["eval", "solenoid.AS", "--at", "2,0,0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {out}: " in err and "Traceback" not in err
 
     def test_run_expectation_failure_exits_1(self, tmp_path):
         raw = minimal_scenario()
