@@ -8,11 +8,11 @@ Bawin-Burnel gauge, and the scalar functions linking them).
 All vectors are returned in Cartesian components; the local cylindrical
 frame is resolved at the evaluation point.  Fields, gauge gradients and
 ``domain_ok`` masks broadcast: a point of shape (3,) gives a (3,) vector,
-an (..., 3) array of points gives (..., 3) vectors, through one code path.
-Only the two per-point callables, ``CallableField`` and the Biot-Savart
-quadrature field, are applied row by row.  Multi-valued gauge functions
-take the continued azimuth as an explicit argument so that evaluation stays
-pure and branch tracking lives with path geometry.
+an (..., 3) array of points gives (..., 3) vectors, through one code path,
+as does the Biot-Savart quadrature field.  Only ``CallableField`` applies a
+user's one-point callable row by row.  Multi-valued gauge functions take the
+continued azimuth as an explicit argument so that evaluation stays pure and
+branch tracking lives with path geometry.
 """
 
 from __future__ import annotations
@@ -37,13 +37,6 @@ def _components(p) -> tuple:
 def _stack(x, y, z) -> np.ndarray:
     """Cartesian components, broadcast against each other, as (..., 3)."""
     return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
-
-
-def per_point(fn, p) -> np.ndarray:
-    """Apply a one-point callable to each point of p, keeping p's shape."""
-    pts = as_points(p)
-    rows = [np.asarray(fn(q), dtype=float) for q in pts.reshape(-1, 3)]
-    return np.array(rows).reshape(pts.shape)
 
 
 @dataclass(frozen=True)
@@ -459,7 +452,9 @@ class CallableField(FieldExpr):
     fn: object = None
 
     def __call__(self, p) -> np.ndarray:
-        return per_point(self.fn, p)
+        pts = as_points(p)
+        rows = [np.asarray(self.fn(q), dtype=float) for q in pts.reshape(-1, 3)]
+        return np.array(rows).reshape(pts.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,12 @@ L -> infinity.  At each source azimuth the integral of the 1/|x - x'|
 kernel along the current line -L <= z' <= L is exact, asinh((L - z)/d) +
 asinh((L + z)/d) with d the in-plane distance from the field point to that
 line; only the azimuth is quadrature, composite Gauss-Legendre refined
-toward the field point's azimuth.  The truncation error falls off as
+toward the field point's azimuth and built once per order, so an (..., 3)
+array of points is one array evaluation.  The truncation error falls off as
 1/L**2 once the azimuthal average removes the leading kernel term, so the
 extrapolation is polynomial in 1/L**2; this decay law is validated
-empirically, and a non-monotone approach to the extrapolant is an error
-rather than an assumption.
+empirically, and a non-monotone approach to the extrapolant at any point is
+an error rather than an assumption.
 """
 
 from __future__ import annotations
@@ -21,16 +22,20 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analytic_fields import FieldExpr, SolenoidSpec, per_point
+from .analytic_fields import FieldExpr, SolenoidSpec
+from .calculus import DiffConfig, _gl01, numeric_curl
 from .errors import NonConvergent, TooCloseToShell
 from .extrapolation import neville_to_zero
-from .geometry import as_xyz
+from .geometry import as_points
 
 SHELL_BAND_FRACTION = 1e-3
 
 # Dyadic panel refinement toward the source line nearest the field point:
 # azimuthal panels halve down to pi / 2**_PHI_LEVELS around its azimuth.
 _PHI_LEVELS = 7
+
+# (point x azimuth node) entries per block of the vectorized quadrature.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -76,91 +81,91 @@ class BiotSavartResult:
 
 
 @lru_cache(maxsize=32)
-def _gl_nodes(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+def _azimuth_rule(order: int):
+    """Composite Gauss-Legendre rule as offsets from the field point's azimuth.
+
+    Panels halve toward offset 0 from pi down to pi / 2**_PHI_LEVELS; a
+    point's nodes are its azimuth plus these offsets, with the same weights.
+    """
+    half_widths = [math.pi / 2 ** k for k in range(_PHI_LEVELS + 1)]
+    breaks = np.array(sorted([-o for o in half_widths] + [0.0] + half_widths))
+    u, w = _gl01(order)
+    width = np.diff(breaks)[:, None]
+    return (breaks[:-1, None] + width * u).ravel(), (width * w).ravel()
 
 
-def _panel_nodes(breaks, order: int):
-    """Composite Gauss-Legendre nodes/weights over consecutive break intervals."""
-    x, w = _gl_nodes(order)
-    nodes = []
-    weights = []
-    for a, b in zip(breaks, breaks[1:]):
-        half = 0.5 * (b - a)
-        mid = 0.5 * (b + a)
-        nodes.append(mid + half * x)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _phi_breaks(phi0: float) -> np.ndarray:
-    offsets = [math.pi / 2 ** k for k in range(_PHI_LEVELS, -1, -1)]
-    rel = [-o for o in reversed(offsets)] + [0.0] + offsets
-    return phi0 + np.array(sorted(rel))
-
-
-def _axial_integral(z: float, half_length: float, d: np.ndarray) -> np.ndarray:
+def _axial_integral(z, half_length: float, d: np.ndarray) -> np.ndarray:
     """Exact integral of 1/sqrt(d**2 + (z - z')**2) over |z'| <= half_length."""
     return np.arcsinh((half_length - z) / d) + np.arcsinh((half_length + z) / d)
 
 
-def _truncated_potential(z: float, s: SolenoidSpec, half_length: float,
-                         phi_cache) -> np.ndarray:
-    phi_w, cosp, sinp, d = phi_cache
-    axial = _axial_integral(z, half_length, d)
+def _truncated_potentials(pts: np.ndarray, s: SolenoidSpec, lengths,
+                          order: int) -> np.ndarray:
+    """(len(lengths), N, 3) truncated-solenoid potentials at (N, 3) points, in blocks."""
+    offsets, weights = _azimuth_rule(order)
+    rows = max(1, _BLOCK // offsets.size)
     pref = s.B * s.R / (4.0 * math.pi)
-    ax = -pref * float(np.dot(phi_w * sinp, axial))
-    ay = pref * float(np.dot(phi_w * cosp, axial))
-    return np.array([ax, ay, 0.0])
+    out = np.zeros((len(lengths), len(pts), 3))
+    for i in range(0, len(pts), rows):
+        x, y, z = (pts[i:i + rows, c, None] for c in range(3))
+        phi0 = np.where(np.hypot(x, y) > 0, np.arctan2(y, x), 0.0)
+        cosp, sinp = np.cos(phi0 + offsets), np.sin(phi0 + offsets)
+        d = np.hypot(x - s.R * cosp, y - s.R * sinp)
+        wsin, wcos = weights * sinp, weights * cosp
+        # One half-length at a time keeps the temporaries at one block's size.
+        for j, L in enumerate(lengths):
+            axial = _axial_integral(z, L, d)
+            out[j, i:i + rows, 0] = -pref * (wsin * axial).sum(axis=-1)
+            out[j, i:i + rows, 1] = pref * (wcos * axial).sum(axis=-1)
+    return out
 
 
-def _check_monotone_approach(per_length, limit) -> None:
-    scale = max(1.0, float(np.max(np.abs(limit))))
-    dists = [float(np.max(np.abs(v - limit))) for v in per_length]
-    floor = 1e-11 * scale
-    for a, b in zip(dists, dists[1:]):
-        if b > a * 1.000001 + floor:
-            raise NonConvergent(
-                "truncated values do not approach the extrapolant monotonically: "
-                f"distances {dists}")
+def _check_monotone_approach(per_length, limit, points=None) -> None:
+    """Raise NonConvergent if any point's truncated values approach its limit non-monotonically.
+
+    per_length holds one (..., 3) array per half-length and limit is (..., 3).
+    """
+    floor = 1e-11 * np.maximum(1.0, np.max(np.abs(limit), axis=-1))
+    dists = np.stack([np.max(np.abs(v - limit), axis=-1) for v in per_length])
+    bad = np.any(dists[1:] > dists[:-1] * 1.000001 + floor, axis=0)
+    if np.any(bad):
+        k = np.unravel_index(np.argmax(bad), bad.shape)
+        at = "" if points is None else f" at {np.asarray(points)[k].tolist()}"
+        raise NonConvergent(
+            "truncated values do not approach the extrapolant monotonically"
+            f"{at}: distances {dists[(slice(None), *k)].tolist()}")
 
 
 def numeric_potential(p, s: SolenoidSpec,
                       cfg: QuadratureConfig = QuadratureConfig()) -> BiotSavartResult:
     """Potential of the solenoid current by truncated quadrature.
 
-    Evaluates the finite-solenoid integral at each configured half-length
-    and extrapolates in 1/L**2.  Points within SHELL_BAND_FRACTION * R of
-    the current shell are rejected; the closed form is the reference there.
+    p is a point (3,) or an (..., 3) array of points; value and each
+    per_length entry have p's shape and error_estimate is the largest over
+    the points.  Evaluates the finite-solenoid integral at each configured
+    half-length and extrapolates in 1/L**2.  Points within
+    SHELL_BAND_FRACTION * R of the current shell are rejected; the closed
+    form is the reference there.
     """
-    x, y, z = as_xyz(p)
-    rho = math.hypot(x, y)
-    if abs(rho - s.R) <= SHELL_BAND_FRACTION * s.R:
+    pts = as_points(p)
+    rho = np.hypot(pts[..., 0], pts[..., 1])
+    near = rho[np.abs(rho - s.R) <= SHELL_BAND_FRACTION * s.R]
+    if near.size:
         raise TooCloseToShell(
-            f"rho = {rho:.6g} is within the exclusion band around R = {s.R:.6g}")
-
-    phi0 = math.atan2(y, x) if rho > 0 else 0.0
-    phi_nodes, phi_w = _panel_nodes(_phi_breaks(phi0), cfg.n_phi)
-    cosp = np.cos(phi_nodes)
-    sinp = np.sin(phi_nodes)
-    phi_cache = (phi_w, cosp, sinp, np.hypot(x - s.R * cosp, y - s.R * sinp))
+            f"rho = {near[0]:.6g} is within the exclusion band around R = {s.R:.6g}")
 
     lengths = [L * s.R for L in cfg.half_lengths]
-    per_length = tuple(
-        _truncated_potential(z, s, L, phi_cache) for L in lengths)
+    values = _truncated_potentials(pts.reshape(-1, 3), s, lengths, cfg.n_phi)
+    per_length = tuple(v.reshape(pts.shape) for v in values)
 
-    if cfg.extrapolation == "richardson" and len(per_length) >= 2:
-        xs = [1.0 / L ** 2 for L in lengths]
-        limit, diagonal = neville_to_zero(xs, per_length)
-        err = float(np.max(np.abs(diagonal[-1] - diagonal[-2])))
+    if len(per_length) < 2:
+        limit, err = per_length[-1], math.inf
     else:
-        limit = per_length[-1]
-        if len(per_length) >= 2:
-            err = float(np.max(np.abs(per_length[-1] - per_length[-2])))
-        else:
-            err = math.inf
-    _check_monotone_approach(per_length, limit)
+        seq = per_length if cfg.extrapolation == "none" else \
+            neville_to_zero([1.0 / L ** 2 for L in lengths], per_length)[1]
+        limit = seq[-1]
+        err = float(np.max(np.abs(seq[-1] - seq[-2]), initial=0.0))
+    _check_monotone_approach(per_length, limit, pts)
     return BiotSavartResult(value=np.asarray(limit, dtype=float),
                             per_length=per_length,
                             half_lengths=cfg.half_lengths,
@@ -169,30 +174,17 @@ def numeric_potential(p, s: SolenoidSpec,
 
 def numeric_b_field(p, s: SolenoidSpec, cfg: QuadratureConfig = QuadratureConfig(),
                     h: float = 1e-2) -> np.ndarray:
-    """Central-difference curl of the quadrature potential."""
-    x, y, z = as_xyz(p)
-    rho = math.hypot(x, y)
-    if abs(rho - s.R) <= max(5.0 * h, SHELL_BAND_FRACTION * s.R):
+    """Central-difference curl of the quadrature potential at (3,) or (..., 3) points."""
+    pts = as_points(p)
+    rho = np.hypot(pts[..., 0], pts[..., 1])
+    if np.any(np.abs(rho - s.R) <= max(5.0 * h, SHELL_BAND_FRACTION * s.R)):
         raise TooCloseToShell("curl stencil would enter the shell exclusion band")
-
-    def at(dx, dy, dz):
-        return numeric_potential((x + dx, y + dy, z + dz), s, cfg).value
-
-    dfdx = (at(h, 0, 0) - at(-h, 0, 0)) / (2 * h)
-    dfdy = (at(0, h, 0) - at(0, -h, 0)) / (2 * h)
-    dfdz = (at(0, 0, h) - at(0, 0, -h)) / (2 * h)
-    return np.array([dfdy[2] - dfdz[1],
-                     dfdz[0] - dfdx[2],
-                     dfdx[1] - dfdy[0]])
+    return numeric_curl(NumericBiotSavartField(s, cfg), pts, DiffConfig(h, 2))
 
 
 @dataclass(frozen=True)
 class NumericBiotSavartField(FieldExpr):
-    """The quadrature potential as a field expression (shell band excluded).
-
-    Each point is its own quadrature, so arrays of points are evaluated row
-    by row.
-    """
+    """The quadrature potential as a field expression (shell band excluded)."""
 
     solenoid: SolenoidSpec = SolenoidSpec()
     config: QuadratureConfig = QuadratureConfig()
@@ -202,7 +194,7 @@ class NumericBiotSavartField(FieldExpr):
         return (self.solenoid.R,)
 
     def __call__(self, p) -> np.ndarray:
-        return per_point(lambda q: numeric_potential(q, self.solenoid, self.config).value, p)
+        return numeric_potential(p, self.solenoid, self.config).value
 
     def _extra_domain_ok(self, rho: np.ndarray, margin: float) -> np.ndarray:
         return np.abs(rho - self.solenoid.R) > SHELL_BAND_FRACTION * self.solenoid.R + margin

@@ -81,7 +81,8 @@ def _run(**raw) -> tuple:
     record = run_scenario(scenario_from_dict({"name": "cli", **raw}))
     for r in record.reports:
         if r.error is not None:
-            print(f"numerical error: {r.error}", file=sys.stderr)
+            label = "numerical error" if r.numerical else "operation error"
+            print(f"{label}: {r.error}", file=sys.stderr)
     return exit_code(record), record.reports
 
 

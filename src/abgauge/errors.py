@@ -51,7 +51,3 @@ class EndpointMismatch(ComputationError):
 
 class ParseError(ToolkitError):
     """Scenario file is malformed or references unknown identifiers."""
-
-
-class ExpectationFailure(ToolkitError):
-    """A scenario expectation was not met."""

@@ -247,10 +247,16 @@ class PathSpec:
         return self.points(np.linspace(0.0, 1.0, n))
 
     def check_sampled_continuity(self, n: int = 4096) -> bool:
-        """True when every sample is finite and no gap exceeds 10x the mean gap."""
+        """True when every sample is finite and no parametric piece has a gap
+        over 10x its mean; arcs, polylines and concat joins are continuous.
+        """
+        if self.kind == "concat":
+            return all(c.check_sampled_continuity(n) for c in self.children)
         pts = self.sample(n)
         if not np.isfinite(pts).all():
             return False
+        if self.kind != "parametric":
+            return True
         gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         mean = float(gaps.mean())
         return bool(float(gaps.max()) <= 10.0 * mean) if mean > 0 else True

@@ -19,12 +19,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
+import jsonschema
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover - hard dependency, guarded for clarity
-    jsonschema = None
 
 from . import __version__
 from .ab_phase import (PhaseProbe, VelocitySample, energy_cancellation,
@@ -120,6 +116,7 @@ class OpReport:
     passed: Optional[bool]
     error: Optional[str]
     extra: dict = field(default_factory=dict)
+    numerical: bool = False  # error is a ComputationError; not serialized
 
 
 @dataclass(frozen=True)
@@ -651,7 +648,8 @@ def _run_one(scenario: Scenario, op: OpRequest) -> OpReport:
     except (ComputationError, ValueError, OSError) as exc:
         return OpReport(index=op.index, op=op.op, target="", value=None,
                         error_estimate=None, expected=expected, tol=tol,
-                        passed=None, error=f"{type(exc).__name__}: {exc}")
+                        passed=None, error=f"{type(exc).__name__}: {exc}",
+                        numerical=isinstance(exc, ComputationError))
     passed = _check_expectation(value, extra, op.expect)
     return OpReport(index=op.index, op=op.op, target=target, value=value,
                     error_estimate=err, expected=expected, tol=tol,
@@ -668,7 +666,7 @@ def run_scenario(scenario: Scenario) -> RunRecord:
 
 
 def exit_code(record: RunRecord) -> int:
-    """0 all good, 1 expectation failure, 3 per-operation numerical error."""
+    """0 all good, 1 expectation failure, 3 per-operation error."""
     if any(r.error is not None for r in record.reports):
         return 3
     if any(r.passed is False for r in record.reports):

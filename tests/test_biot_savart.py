@@ -182,3 +182,68 @@ class TestGaugeInvariantChain:
         f = NumericBiotSavartField(S, cfg)
         rep = line_integral(f, PathSpec.circle((0, 0, 0), 2.0), tol=1e-4)
         assert abs(rep.value - math.pi) / math.pi < 1e-3
+
+
+def _off_band_points(n, seed=3):
+    rng = np.random.default_rng(seed)
+    rho = rng.uniform(0.1, 1.8, n)
+    rho[np.abs(rho - 1.0) < 0.01] += 0.02
+    phi = rng.uniform(-math.pi, math.pi, n)
+    return np.stack([rho * np.cos(phi), rho * np.sin(phi), rng.uniform(-3, 3, n)], axis=1)
+
+
+class TestArrayOracle:
+    def test_azimuth_rule_covers_the_circle(self):
+        from abgauge.biot_savart import _azimuth_rule
+        offsets, weights = _azimuth_rule(48)
+        assert offsets.shape == weights.shape == (16 * 48,)
+        assert np.all(np.diff(offsets) > 0)
+        assert -math.pi < offsets[0] and offsets[-1] < math.pi
+        assert math.fsum(weights) == pytest.approx(2 * math.pi, rel=1e-14)
+
+    def test_rows_longer_than_a_block_match_single_calls_bitwise(self):
+        cfg = QuadratureConfig(n_phi=48)
+        pts = _off_band_points(50)
+        rep = numeric_potential(pts, S, cfg)
+        assert rep.value.shape == (50, 3)
+        assert all(v.shape == (50, 3) for v in rep.per_length)
+        for k, p in enumerate(pts):
+            one = numeric_potential(p, S, cfg)
+            assert np.array_equal(rep.value[k], one.value)
+            for many, single in zip(rep.per_length, one.per_length):
+                assert np.array_equal(many[k], single)
+
+    def test_error_estimate_is_the_row_maximum(self):
+        pts = _off_band_points(7)
+        rep = numeric_potential(pts, S, CFG)
+        rows = [numeric_potential(p, S, CFG).error_estimate for p in pts]
+        assert rep.error_estimate == max(rows)
+
+    def test_one_row_in_the_shell_band_names_its_rho(self):
+        pts = _off_band_points(5)
+        pts[3] = (0.0, 1.0004, 0.5)
+        with pytest.raises(TooCloseToShell, match=r"rho = 1\.0004 is within"):
+            numeric_potential(pts, S, CFG)
+
+    def test_monotone_guard_on_stacked_points(self):
+        from abgauge.biot_savart import _check_monotone_approach
+        far = np.array([[0.0, 0.1, 0.0], [0.2, 0.0, 0.0]])
+        near = np.array([[0.0, 0.01, 0.0], [0.02, 0.0, 0.0]])
+        _check_monotone_approach([far, near], np.zeros((2, 3)))
+        mixed = near.copy()
+        mixed[1] = (0.3, 0.0, 0.0)
+        pts = np.array([[2.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
+        named = r"at \[0\.0, 3\.0, 0\.0\]: distances \[0\.2, 0\.3\]"
+        with pytest.raises(NonConvergent, match=named):
+            _check_monotone_approach([far, mixed], np.zeros((2, 3)), pts)
+
+    def test_b_field_on_an_array_matches_single_points(self):
+        pts = np.array([[0.5, 0.0, 0.0], [3.0, 0.0, 0.0], [0.1, 0.4, 2.0]])
+        many = numeric_b_field(pts, S, CFG, h=1e-2)
+        assert many.shape == (3, 3)
+        for k, p in enumerate(pts):
+            assert np.array_equal(many[k], numeric_b_field(p, S, CFG, h=1e-2))
+
+    def test_b_field_stencil_near_shell_rejected_for_any_row(self):
+        with pytest.raises(TooCloseToShell):
+            numeric_b_field([(0.5, 0, 0), (1.02, 0, 0)], S, CFG, h=1e-2)

@@ -58,6 +58,25 @@ class TestNumericDivergence:
         assert numeric_divergence(f, (1, 1, 0)) == pytest.approx(4.0, abs=1e-6)
 
 
+class TestGaussLegendreRule:
+    @pytest.mark.parametrize("order", [8, 10, 16, 32, 48, 64, 128])
+    def test_matches_numpy_leggauss(self, order):
+        from abgauge.calculus import _gl01
+        u, w = _gl01(order)
+        x, ref = np.polynomial.legendre.leggauss(order)
+        assert np.max(np.abs(u - 0.5 * (x + 1.0))) <= 4e-16
+        # leggauss's own weights are off by up to ~1e-11 relative at order 128.
+        assert np.max(np.abs(w - 0.5 * ref) / w) <= 1e-10
+        assert math.fsum(w) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("order", [8, 48, 128])
+    def test_exact_for_degree_below_twice_the_order(self, order):
+        from abgauge.calculus import _gl01
+        u, w = _gl01(order)
+        for k in range(2 * order):
+            assert math.fsum(w * u ** k) == pytest.approx(1.0 / (k + 1), rel=1e-13, abs=0)
+
+
 class TestLineIntegral:
     def test_enclosing_circle_gives_flux(self):
         rep = line_integral(AS, PathSpec.circle((0, 0, 0), 2.0), tol=1e-10)

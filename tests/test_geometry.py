@@ -128,6 +128,22 @@ class TestPathSpec:
 
         assert not PathSpec.parametric(jumpy).check_sampled_continuity()
 
+    def test_uneven_polyline_passes_continuity(self):
+        verts = [(2.0, 0.1 * k, 0.0) for k in range(11)] + [(-40.0, 1.1, 0.0)]
+        assert PathSpec.polyline(verts).check_sampled_continuity()
+        assert PathSpec.polyline(verts).reverse().check_sampled_continuity()
+
+    def test_concat_checks_its_parametric_pieces(self):
+        def jumpy(t):
+            return np.array([2.0, 1.0 if t < 0.5 else 1.5, 0.0])
+
+        piece = PathSpec.parametric(jumpy)
+        tail = PathSpec.segment(piece.end, (-40.0, 1.5, 0.0))
+        assert not PathSpec.concat(piece, tail).check_sampled_continuity()
+        smooth = PathSpec.arc((0, 0, 0), 2.0, 0.0, 0.5)
+        long_tail = PathSpec.segment(smooth.end, (-40.0, 1.0, 0.0))
+        assert PathSpec.concat(smooth, long_tail).check_sampled_continuity()
+
     def test_numeric_velocity_fallback(self):
         path = PathSpec.parametric(
             lambda t: np.array([math.cos(t), math.sin(t), t]))

@@ -162,6 +162,17 @@ class TestScenarioExecution:
         assert record.reports[0].error.startswith("ValueError: ")
         assert record.reports[0].value is None
 
+    def test_uneven_polyline_scenario_runs(self):
+        verts = [[2.0, 0.1 * k, 0.0] for k in range(11)] + [[-40.0, 1.1, 0.0]]
+        raw = minimal_scenario(
+            paths={"uneven": {"kind": "polyline", "points": verts}},
+            operations=[{"op": "open_phase", "path": "uneven", "gauge": "none",
+                         "tol": 1e-9}])
+        record = run_scenario(scenario_from_dict(raw))
+        assert exit_code(record) == 0
+        assert record.reports[0].value == pytest.approx(0.5 * math.atan2(1.1, -40.0),
+                                                        abs=1e-8)
+
     def test_every_operation_reported_once(self):
         sc = load_scenario(bundled_path("loop_flux"))
         record = run_scenario(sc)
@@ -415,6 +426,22 @@ class TestCli:
                      "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["value"][1] == pytest.approx(0.25, rel=1e-4)
+
+    def test_phase_open_uneven_polyline(self, capsys):
+        verts = ";".join(f"2,{0.1 * k:.1f},0" for k in range(11)) + ";-40,1.1,0"
+        assert main(["phase", "open", "--tol", "1e-9", "--polyline", verts,
+                     "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["phase"] == pytest.approx(0.5 * math.atan2(1.1, -40.0), abs=1e-8)
+
+    def test_error_labels(self, tmp_path, capsys):
+        assert main(["eval", "solenoid.AS.numeric", "--at", "1.0001,0,0"]) == 3
+        assert capsys.readouterr().err.startswith("numerical error: TooCloseToShell: ")
+        out = tmp_path / "nodir" / "x.svg"
+        assert main(["plot", "field", "solenoid.AS", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("operation error: FileNotFoundError: ")
+        assert main(["string", "--eps=1e-3,1e-2,1e-1"]) == 3
+        assert capsys.readouterr().err.startswith("operation error: ValueError: ")
 
     def test_removed_nz_flag_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
