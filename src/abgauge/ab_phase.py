@@ -25,7 +25,7 @@ from .analytic_fields import (FieldExpr, GaugeChoice, GaugeGradientField,
                               solenoid_transverse_potential)
 from .calculus import line_integral
 from .errors import ComputationError, EndpointMismatch
-from .geometry import LoopSpec, PathSpec, Point, endpoint_azimuths
+from .geometry import LoopSpec, PathSpec, Point, endpoint_azimuths, winding_number
 
 PHASE_TOL = 1e-12
 
@@ -158,7 +158,7 @@ def loop_phase(probe: PhaseProbe, loop: LoopSpec,
         notes.append("singular gauge: the loop integral excludes the axis string, "
                      "so the net enclosed flux it sees is zero")
     try:
-        w = loop.winding_number()
+        w = winding_number(loop)
     except ComputationError as exc:
         w = None
         notes.append(f"winding undefined: {type(exc).__name__}: {exc}")

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -73,10 +74,10 @@ class BiotSavartResult:
     value: np.ndarray
     per_length: tuple
     half_lengths: tuple
-    error_estimate: float
+    error_estimate: Optional[float]
 
     def __post_init__(self):
-        if self.error_estimate < 0:
+        if self.error_estimate is not None and self.error_estimate < 0:
             raise ValueError("error estimate must be nonnegative")
 
 
@@ -142,8 +143,9 @@ def numeric_potential(p, s: SolenoidSpec,
 
     p is a point (3,) or an (..., 3) array of points; value and each
     per_length entry have p's shape and error_estimate is the largest over
-    the points.  Evaluates the finite-solenoid integral at each configured
-    half-length and extrapolates in 1/L**2.  Points within
+    the points (None for a single half-length).  Evaluates the
+    finite-solenoid integral at each configured half-length and
+    extrapolates in 1/L**2.  Points within
     SHELL_BAND_FRACTION * R of the current shell are rejected; the closed
     form is the reference there.
     """
@@ -159,7 +161,7 @@ def numeric_potential(p, s: SolenoidSpec,
     per_length = tuple(v.reshape(pts.shape) for v in values)
 
     if len(per_length) < 2:
-        limit, err = per_length[-1], math.inf
+        limit, err = per_length[-1], None
     else:
         seq = per_length if cfg.extrapolation == "none" else \
             neville_to_zero([1.0 / L ** 2 for L in lengths], per_length)[1]

@@ -2,9 +2,11 @@
 
 Line integrals use composite Gauss-Legendre along the path parameter with
 panel doubling; disc fluxes use a polar product rule with radial splits at
-known breakpoints; shrinking-loop circulations extrapolate in the squared
-loop radius.  Delta-supported sources never enter any stencil or quadrature;
-their integrated contributions are added from their analytic accessors.
+known breakpoints; both double through ``extrapolation.refine`` and report
+|I_2n - I_n| as their estimate.  Shrinking-loop circulations extrapolate in
+the squared loop radius.  Delta-supported sources never enter any stencil or
+quadrature; their integrated contributions are added from their analytic
+accessors.
 
 Each refinement level is one array evaluation (blocks of ``_CHUNK`` points
 beyond that): a line level's points, velocities and field values, a polar
@@ -23,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .analytic_fields import FieldExpr, StringField
-from .errors import DomainViolation, NoConvergence, NoLimit
-from .extrapolation import neville_to_zero
+from .errors import DomainViolation, NoLimit
+from .extrapolation import neville_to_zero, refine
 from .geometry import DiscSpec, LoopSpec, PathSpec, as_points, as_xyz, require_finite
 
 # Points per field call; larger refinement levels are evaluated in blocks.
@@ -178,20 +180,6 @@ def _composite(g, panels: int, order: int) -> float:
                         for i in range(0, ts.size, _CHUNK))
 
 
-def _adaptive_integral(g, tol: float, order: int, max_doublings: int,
-                       start_panels: int = 2):
-    prev = None
-    panels = start_panels
-    for _ in range(max_doublings + 1):
-        val = _composite(g, panels, order)
-        if prev is not None and abs(val - prev) < tol:
-            return val, abs(val - prev), panels * order
-        prev = val
-        panels *= 2
-    raise NoConvergence(
-        f"line quadrature did not reach tol={tol:g} within {max_doublings} doublings")
-
-
 def _domain_precheck(f: FieldExpr, path: PathSpec, n: int = 129) -> None:
     pts = path.sample(n)
     ok = f.domain_ok(pts)
@@ -226,25 +214,23 @@ def line_integral(f: FieldExpr, path: PathSpec, tol: float = 1e-9,
     if path.kind == "concat":
         parts = [line_integral(f, c, tol / len(path.children), order, max_doublings)
                  for c in path.children]
-        return CirculationReport(math.fsum(r.value for r in parts),
-                                 sum(r.n_points for r in parts),
-                                 math.fsum(r.error_estimate for r in parts))
-
-    if path.kind == "polyline":
-        verts = path.vertices
-        nseg = len(verts) - 1
-        _domain_precheck(f, path, n=max(129, 8 * nseg + 1))
-        parts = [_adaptive_integral(_integrand(f, PathSpec.segment(a, b)), tol / nseg,
-                                    order, max_doublings, start_panels=1)
-                 for a, b in zip(verts, verts[1:])]
-        return CirculationReport(math.fsum(v for v, _, _ in parts),
-                                 sum(n for _, _, n in parts),
-                                 math.fsum(e for _, e, _ in parts))
-
-    _domain_precheck(f, path)
-    val, err, n = _adaptive_integral(_integrand(f, path), tol, order, max_doublings,
-                                     start_panels=2)
-    return CirculationReport(val, n, err)
+    else:
+        if path.kind == "polyline":
+            verts = path.vertices
+            pieces = [(PathSpec.segment(a, b), 1) for a, b in zip(verts, verts[1:])]
+        else:
+            pieces = [(path, 2)]
+        _domain_precheck(f, path, n=max(129, 8 * len(pieces) + 1))
+        piece_tol = tol / len(pieces)
+        parts = []
+        for piece, start in pieces:
+            g = _integrand(f, piece)
+            val, prev, level = refine(lambda k: _composite(g, start << k, order),
+                                      lambda a, b: abs(a - b) < piece_tol,
+                                      max_doublings, f"line quadrature to tol={piece_tol:g}")
+            parts.append(CirculationReport(val, (start << level) * order, abs(val - prev)))
+    return CirculationReport(math.fsum(r.value for r in parts), sum(r.n_points for r in parts),
+                             math.fsum(r.error_estimate for r in parts))
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +273,15 @@ def _polar_flux_level(f: FieldExpr, disc: DiscSpec, redges, level: int,
 
 def disc_flux(f: FieldExpr, disc: DiscSpec, deltas: Sequence = (),
               tol: float = 1e-9, order: int = 10,
-              max_doublings: int = 8) -> float:
+              max_doublings: int = 8) -> CirculationReport:
     """Flux of the smooth field through the disc plus enclosed delta fluxes.
 
-    The smooth part uses a polar Gauss product rule; when the disc is
-    centered on the axis the radial integration is split at the field's
-    radial breakpoints so discontinuities sit on panel edges.  Enclosed
-    string fields contribute their analytic flux; current-type descriptors
-    carry no flux.
+    The smooth part uses a polar Gauss product rule refined until
+    |I_2n - I_n| < tol, the reported estimate; n_points counts the last
+    level's nodes.  When the disc is centered on the axis the radial
+    integration is split at the field's radial breakpoints so
+    discontinuities sit on panel edges.  Enclosed string fields contribute
+    their analytic flux; current-type descriptors carry no flux.
     """
     centered = math.hypot(disc.center.x, disc.center.y) <= 1e-12
     cuts = []
@@ -302,22 +289,15 @@ def disc_flux(f: FieldExpr, disc: DiscSpec, deltas: Sequence = (),
         cuts = sorted(b for b in f.radial_breakpoints if 0.0 < b < disc.radius)
     redges = [0.0, *cuts, disc.radius]
 
-    prev = None
-    smooth = None
-    for level in range(max_doublings + 1):
-        val = _polar_flux_level(f, disc, redges, level, order, order)
-        if prev is not None and abs(val - prev) < tol:
-            smooth = val
-            break
-        prev = val
-    if smooth is None:
-        raise NoConvergence(f"disc flux did not reach tol={tol:g}")
-
+    smooth, prev, level = refine(
+        lambda k: _polar_flux_level(f, disc, redges, k, order, order),
+        lambda a, b: abs(a - b) < tol, max_doublings, f"disc flux to tol={tol:g}")
     total = smooth * disc.orientation
     for d in deltas:
         if isinstance(d, StringField):
             total += d.flux_through(disc)
-    return total
+    nodes = (len(redges) - 1) * order * order * 2 ** (2 * level + 1)
+    return CirculationReport(total, nodes, abs(smooth - prev))
 
 
 def stokes_residual(f: FieldExpr, loop: LoopSpec, disc: DiscSpec,
@@ -334,7 +314,7 @@ def stokes_residual(f: FieldExpr, loop: LoopSpec, disc: DiscSpec,
         raise DomainViolation("loop is not the boundary of the disc")
     circ = line_integral(f, loop.path, tol=tol * 1e-2)
     flux = disc_flux(NumericCurlField(f, cfg), disc, tol=tol)
-    return abs(circ.value - flux)
+    return abs(circ.value - flux.value)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,24 @@
-"""Polynomial extrapolation of value sequences to a vanishing step parameter."""
+"""Refinement until two levels agree, and polynomial extrapolation of value
+sequences to a vanishing step parameter."""
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import NoConvergence
+
+
+def refine(level_value, converged, max_levels: int, what: str):
+    """(value, previous, level) at the first level >= 1 where converged(value, previous);
+    after max_levels + 1 levels without one, NoConvergence naming what, the budget
+    and the last two iterates."""
+    previous = value = None
+    for level in range(max_levels + 1):
+        previous, value = value, level_value(level)
+        if level and converged(value, previous):
+            return value, previous, level
+    raise NoConvergence(f"{what} did not converge within {max_levels} doublings; "
+                        f"last two iterates {previous!r} and {value!r}")
 
 
 def neville_to_zero(xs, ys):

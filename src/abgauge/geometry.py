@@ -5,9 +5,11 @@ Paths are evaluated on arrays: ``PathSpec.points(ts)`` and
 return (N, 3); ``point_at``/``velocity_at`` are the one-row case.  All
 values are immutable after construction and safe to share between threads.
 Azimuth unwrapping is sample based: principal angles on a uniform
-parameter grid are continued onto the nearest branch, and callers that need
-a certified winding count double the sample count until the result
-stabilizes.  A non-finite sample stops the bookkeeping with ``NonFinite``.
+parameter grid are continued onto the nearest branch, the stable change
+doubles the samples through ``extrapolation.refine`` and the winding count
+rounds it.  Axis crossings are found in closed form for arcs and segments,
+by the samples for parametric paths.  A non-finite sample stops the
+bookkeeping with ``NonFinite``.
 """
 
 from __future__ import annotations
@@ -19,9 +21,15 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import AxisCrossing, NoConvergence, NonFinite, NotClosed
+from .extrapolation import refine
 
 AXIS_CUTOFF = 1e-9
 CLOSURE_TOL = 1e-12
+
+# Azimuth sampling: first sample count, doublings, relative agreement.
+_N_SAMPLES = 4096
+_MAX_DOUBLINGS = 8
+_AZIMUTH_RTOL = 1e-9
 
 # Step for the numeric fallback of parametric-path velocities.
 _VELOCITY_H = 1e-7
@@ -267,17 +275,42 @@ def _wrap_to_pi(deltas: np.ndarray) -> np.ndarray:
     return deltas - 2.0 * math.pi * np.round(deltas / (2.0 * math.pi))
 
 
+def axis_distance(path: PathSpec) -> float:
+    """Closest approach to the z-axis in closed form per piece; inf if parametric.
+
+    Segments project the origin in xy, clamped; arcs give |rho_c - r| when
+    the sweep reaches the circle point nearest the axis, else an endpoint's.
+    """
+    if path.kind == "concat":
+        return min(axis_distance(c) for c in path.children)
+    if path.kind == "parametric":
+        return math.inf
+    if path.kind == "arc":
+        (cx, cy, _), r, phase, sweep = path.arc
+        lo, hi = sorted((phase, phase + sweep))
+        if (math.atan2(-cy, -cx) - lo) % (2.0 * math.pi) <= hi - lo:
+            return abs(math.hypot(cx, cy) - r)
+        return min(math.hypot(cx + r * math.cos(a), cy + r * math.sin(a)) for a in (lo, hi))
+    best = math.inf
+    for (ax, ay, _), (bx, by, _) in zip(path.vertices, path.vertices[1:]):
+        dx, dy = bx - ax, by - ay
+        dd = dx * dx + dy * dy
+        t = min(1.0, max(0.0, -(ax * dx + ay * dy) / dd)) if dd > 0 else 0.0
+        best = min(best, math.hypot(ax + t * dx, ay + t * dy))
+    return best
+
+
 def _raw_azimuths(path: PathSpec, n_samples: int) -> np.ndarray:
     pts = path.sample(n_samples)
     require_finite(pts, pts, lambda k: k / (n_samples - 1), "path sample")
     rho = np.hypot(pts[:, 0], pts[:, 1])
-    if np.any(rho < AXIS_CUTOFF):
+    if axis_distance(path) < AXIS_CUTOFF or np.any(rho < AXIS_CUTOFF):
         raise AxisCrossing(
             f"path passes within {AXIS_CUTOFF} of the z-axis; azimuth undefined")
     return np.arctan2(pts[:, 1], pts[:, 0])
 
 
-def continuous_azimuth(path: PathSpec, n_samples: int = 4096) -> np.ndarray:
+def continuous_azimuth(path: PathSpec, n_samples: int = _N_SAMPLES) -> np.ndarray:
     """Unwrapped azimuth along the path, one value per sample.
 
     The first entry is the principal azimuth of the start point; later
@@ -290,7 +323,7 @@ def continuous_azimuth(path: PathSpec, n_samples: int = 4096) -> np.ndarray:
     out[1:] = raw[0] + np.cumsum(deltas)
     return out
 
-def azimuth_change(path: PathSpec, n_samples: int = 4096) -> float:
+def azimuth_change(path: PathSpec, n_samples: int = _N_SAMPLES) -> float:
     """Total unwrapped azimuth change phi(1) - phi(0).
 
     Accumulated with exact (fsum) summation, so reversing the path negates
@@ -301,24 +334,17 @@ def azimuth_change(path: PathSpec, n_samples: int = 4096) -> float:
     return math.fsum(deltas.tolist())
 
 
-def stable_azimuth_change(path: PathSpec, n_samples: int = 4096,
-                          max_doublings: int = 8, tol: float = 1e-9) -> float:
+def stable_azimuth_change(path: PathSpec) -> float:
     """Azimuth change with the sample count doubled until two runs agree."""
-    prev = None
-    n = n_samples
-    for _ in range(max_doublings + 1):
-        cur = azimuth_change(path, n)
-        if prev is not None and abs(cur - prev) <= tol * (1.0 + abs(cur)):
-            return cur
-        prev = cur
-        n *= 2
-    raise NoConvergence("azimuth change did not stabilize under sample doubling")
+    return refine(lambda k: azimuth_change(path, _N_SAMPLES << k),
+                  lambda cur, prev: abs(cur - prev) <= _AZIMUTH_RTOL * (1.0 + abs(cur)),
+                  _MAX_DOUBLINGS, "azimuth change")[0]
 
 
-def endpoint_azimuths(path: PathSpec, n_samples: int = 4096) -> tuple:
+def endpoint_azimuths(path: PathSpec) -> tuple:
     """(start, end) azimuths on the branch continued along the path."""
     start = float(_raw_azimuths(path, 2)[0])
-    return start, start + stable_azimuth_change(path, n_samples)
+    return start, start + stable_azimuth_change(path)
 
 
 @dataclass(frozen=True)
@@ -339,27 +365,14 @@ class LoopSpec:
     def reverse(self) -> "LoopSpec":
         return LoopSpec(self.path.reverse())
 
-    def winding_number(self, n_samples: int = 4096) -> int:
-        return winding_number(self, n_samples)
 
-
-def winding_number(loop: LoopSpec, n_samples: int = 4096,
-                   max_doublings: int = 8) -> int:
-    """Signed number of revolutions of a closed path around the z-axis.
-
-    Sample count doubles until two successive integer counts agree and the
-    unwrapped change is an integer multiple of 2*pi to 1e-6.
-    """
-    prev = None
-    n = n_samples
-    for _ in range(max_doublings + 1):
-        turns = azimuth_change(loop.path, n) / (2.0 * math.pi)
-        w = int(round(turns))
-        if abs(turns - w) <= 1e-6 and prev == w:
-            return w
-        prev = w
-        n *= 2
-    raise NoConvergence("winding count did not stabilize under sample doubling")
+def winding_number(loop: LoopSpec) -> int:
+    """Signed revolutions around the z-axis: the stable azimuth change in whole
+    turns, or NoConvergence when it is more than 1e-6 turns from an integer."""
+    turns = stable_azimuth_change(loop.path) / (2.0 * math.pi)
+    if abs(turns - round(turns)) > 1e-6:
+        raise NoConvergence(f"loop azimuth change is {turns!r} turns, not a whole number")
+    return round(turns)
 
 
 @dataclass(frozen=True)

@@ -368,7 +368,7 @@ def _sample_points(rng, n, rho_range, z_range=(-1.0, 1.0), avoid_shell=None,
 # ---------------------------------------------------------------------------
 
 def _vec(value) -> list:
-    return [float(v) for v in np.asarray(value)]
+    return [float(v) + 0.0 for v in np.asarray(value)]  # + 0.0 turns -0.0 into 0.0
 
 
 def _op_rng(scenario: Scenario, params: dict):
@@ -413,15 +413,15 @@ def _h_numeric_potential(scenario, params):
 def _h_numeric_b_field(scenario, params):
     val = numeric_b_field(params["at"], scenario.solenoid, scenario.quadrature,
                           h=params.get("h", 1e-2))
-    return _vec(val), 0.0, "solenoid.B.numeric", {}
+    return _vec(val), None, "solenoid.B.numeric", {}
 
 
 def _h_disc_flux(scenario, params):
     f = resolve_field(params["field"], scenario)
     disc = _resolve_disc(params["disc"], scenario)
     deltas = [StringField(scenario.solenoid)] if params.get("with_string") else []
-    val = disc_flux(f, disc, deltas=deltas, tol=params.get("tol", 1e-9))
-    return val, 0.0, params["field"], {"with_string": bool(params.get("with_string"))}
+    rep = disc_flux(f, disc, deltas=deltas, tol=params.get("tol", 1e-9))
+    return rep.value, rep.error_estimate, params["field"], {"with_string": bool(deltas)}
 
 
 def _h_string_flux(scenario, params):

@@ -116,6 +116,16 @@ class TestLoopPhase:
         assert rep.winding is None
         assert any("AxisCrossing" in n for n in rep.notes)
 
+    def test_edge_through_the_axis_between_samples_is_noted(self):
+        # No sample of this square lands on the axis; the closed-form check
+        # on its bottom edge still leaves the winding count undefined.
+        square = LoopSpec(PathSpec.polyline([(-1, 0, 0), (1, 0, 0), (1, 2, 0),
+                                             (-1, 2, 0), (-1, 0, 0)]))
+        rep = loop_phase(PhaseProbe(base_field=LandauField("S", 1.0)), square)
+        assert rep.phase == pytest.approx(4.0, abs=1e-8)
+        assert rep.winding is None
+        assert any(n.startswith("winding undefined: AxisCrossing") for n in rep.notes)
+
 
 class TestInterference:
     def test_upper_minus_lower_encloses_flux(self):

@@ -105,8 +105,8 @@ def test_criterion_05_string_circulation():
 def test_criterion_06_flux_cancellation():
     b = SolenoidBField(S)
     string = StringField(S)
-    full = disc_flux(b, DiscSpec(Point(0, 0, 0), 1.0), deltas=[string], tol=1e-10)
-    half = disc_flux(b, DiscSpec(Point(0, 0, 0), 0.5), deltas=[string], tol=1e-10)
+    full = disc_flux(b, DiscSpec(Point(0, 0, 0), 1.0), deltas=[string], tol=1e-10).value
+    half = disc_flux(b, DiscSpec(Point(0, 0, 0), 0.5), deltas=[string], tol=1e-10).value
     dev_full = abs(full)
     dev_half = abs(half - (PI / 4 - PI))
     report(6, dev_full <= 1e-8 and dev_half <= 1e-8,

@@ -89,6 +89,11 @@ class TestNumericPotential:
         r = numeric_potential((2, 0, 0), S, cfg)
         assert np.all(r.value == r.per_length[-1])
 
+    def test_single_half_length_has_no_estimate(self):
+        r = numeric_potential((2, 0, 0), S, QuadratureConfig(n_phi=32, half_lengths=(8,)))
+        assert np.all(r.value == r.per_length[0])
+        assert r.error_estimate is None
+
 
 def dense_axial_sum(z, half_length, d, order=40):
     """Composite Gauss-Legendre sum of 1/sqrt(d**2 + (z - z')**2) over z'.

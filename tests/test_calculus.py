@@ -155,28 +155,28 @@ class TestDiscFlux:
     def test_uniform_field_with_string_cancels(self):
         b = SolenoidBField(S)
         disc = DiscSpec(Point(0, 0, 0), 1.0)
-        total = disc_flux(b, disc, deltas=[StringField(S)], tol=1e-10)
+        total = disc_flux(b, disc, deltas=[StringField(S)], tol=1e-10).value
         assert total == pytest.approx(0.0, abs=1e-8)
 
     def test_smooth_part_alone(self):
         b = SolenoidBField(S)
         disc = DiscSpec(Point(0, 0, 0), 0.5)
-        assert disc_flux(b, disc, tol=1e-10) == pytest.approx(PI / 4, abs=1e-8)
+        assert disc_flux(b, disc, tol=1e-10).value == pytest.approx(PI / 4, abs=1e-8)
 
     def test_wide_disc_captures_all_flux(self):
         b = SolenoidBField(S)
         disc = DiscSpec(Point(0, 0, 0), 3.0)
-        assert disc_flux(b, disc, tol=1e-10) == pytest.approx(PI, abs=1e-6)
+        assert disc_flux(b, disc, tol=1e-10).value == pytest.approx(PI, abs=1e-6)
 
     def test_orientation_flips_sign(self):
         b = SolenoidBField(S)
         disc = DiscSpec(Point(0, 0, 0), 0.5, normal=(0.0, 0.0, -1.0))
-        assert disc_flux(b, disc, tol=1e-10) == pytest.approx(-PI / 4, abs=1e-8)
+        assert disc_flux(b, disc, tol=1e-10).value == pytest.approx(-PI / 4, abs=1e-8)
 
     def test_string_ignored_when_axis_outside(self):
         b = SolenoidBField(S)
         disc = DiscSpec(Point(5, 0, 0), 1.0)
-        total = disc_flux(b, disc, deltas=[StringField(S)], tol=1e-9)
+        total = disc_flux(b, disc, deltas=[StringField(S)], tol=1e-9).value
         assert total == pytest.approx(0.0, abs=1e-8)
 
     def test_no_bulk_curl_inside_transformed_system(self):
@@ -185,7 +185,7 @@ class TestDiscFlux:
         from abgauge import NumericCurlField
         curl_b = NumericCurlField(SolenoidBField(S), DiffConfig(h=1e-4, order=2))
         disc = DiscSpec(Point(0.4, 0, 0), 0.15)
-        assert abs(disc_flux(curl_b, disc, tol=1e-8)) < 1e-6
+        assert abs(disc_flux(curl_b, disc, tol=1e-8).value) < 1e-6
 
 
 class TestStokes:

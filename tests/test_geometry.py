@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from abgauge import LoopSpec, PathSpec, Point, winding_number
 from abgauge.errors import AxisCrossing, NonFinite, NotClosed
-from abgauge.geometry import azimuth_change, continuous_azimuth, endpoint_azimuths
+from abgauge.geometry import (axis_distance, azimuth_change, continuous_azimuth,
+                              endpoint_azimuths, stable_azimuth_change)
 
 
 class TestPoint:
@@ -201,6 +202,74 @@ def _every_path_kind():
         "reversed parametric": PathSpec.parametric(
             lambda t: np.array([1.0 + t, t ** 3, 0.0])).reverse(),
     }
+
+
+class TestAxisDistance:
+    def test_segment_uses_clamped_projection_in_xy(self):
+        assert axis_distance(PathSpec.segment((-1, 0.5, 3), (1, 0.5, -2))) == 0.5
+        assert axis_distance(PathSpec.segment((1, 1, 0), (2, 3, 5))) == math.sqrt(2.0)
+        assert axis_distance(PathSpec.segment((0, 0, 1), (0, 0, 4))) == 0.0
+
+    def test_arc_reaching_nearest_point(self):
+        # The circle point nearest the axis is at azimuth pi from (2, 0).
+        assert axis_distance(PathSpec.arc((2, 0, 0), 1.0, 0.5, 5.5)) == 1.0
+        assert axis_distance(PathSpec.arc((2, 0, 0), 1.0, 4.0, 2.0)) == 1.0
+        assert axis_distance(PathSpec.arc((2, 0, 0), 1.0, 2.0 - 4 * math.pi, 4.0 - 4 * math.pi)) == 1.0
+        assert axis_distance(PathSpec.circle((0.3, 0.4, 0), 2.0)) == pytest.approx(1.5, abs=1e-15)
+
+    def test_arc_missing_nearest_point_uses_an_endpoint(self):
+        arc = PathSpec.arc((1, 0, 0), 1.0, -2.5, 2.5)
+        assert axis_distance(arc) == pytest.approx(math.sqrt(2.0 + 2.0 * math.cos(2.5)), abs=1e-15)
+
+    def test_concat_takes_minimum_and_reversal_is_ignored(self):
+        a = PathSpec.arc((0, 0, 0), 2.0, 0.0, 1.0)
+        b = PathSpec.segment(a.end, (0.5, 0.0, 0.0))
+        both = PathSpec.concat(a, b)
+        assert axis_distance(both) == axis_distance(b) == 0.5
+        assert axis_distance(both.reverse()) == 0.5
+        assert axis_distance(a.reverse()) == axis_distance(a)
+
+    def test_parametric_has_no_closed_form(self):
+        assert axis_distance(PathSpec.parametric(lambda t: np.array([1.0 + t, 0.0, 0.0]))) == math.inf
+
+    @pytest.mark.parametrize("name", [k for k in _every_path_kind() if "parametric" not in k])
+    def test_matches_dense_sampling(self, name):
+        path = _every_path_kind()[name]
+        pts = path.sample(200_001)
+        sampled = float(np.hypot(pts[:, 0], pts[:, 1]).min())
+        assert sampled - 1e-6 <= axis_distance(path) <= sampled
+
+
+class TestPathsThroughTheAxis:
+    """Paths that touch the axis between samples still raise AxisCrossing."""
+
+    def test_square_with_an_edge_through_the_axis(self):
+        square = PathSpec.polyline([(-1, 0, 0), (1, 0, 0), (1, 2, 0), (-1, 2, 0), (-1, 0, 0)])
+        with pytest.raises(AxisCrossing):
+            winding_number(LoopSpec(square))
+
+    def test_circle_through_the_axis(self):
+        with pytest.raises(AxisCrossing):
+            winding_number(LoopSpec.circle((1, 0, 0), 1.0))
+
+    def test_segment_through_the_axis(self):
+        with pytest.raises(AxisCrossing):
+            stable_azimuth_change(PathSpec.segment((-1, 0, 0), (1, 0, 0)))
+
+    def test_arc_through_the_axis(self):
+        with pytest.raises(AxisCrossing):
+            endpoint_azimuths(PathSpec.arc((1, 0, 0), 1.0, 0.5, 5.5))
+
+    def test_reversed_concat_within_cutoff(self):
+        a = PathSpec.arc((0, 0, 0), 2.0, 0.0, 1.0)
+        b = PathSpec.segment(a.end, (0.0, 5e-10, 0.0))
+        with pytest.raises(AxisCrossing):
+            azimuth_change(PathSpec.concat(a, b).reverse())
+
+    def test_parametric_keeps_the_sampled_check(self):
+        path = PathSpec.parametric(lambda t: np.array([2.0 * t - 1.0, 0.0, 0.0]))
+        with pytest.raises(AxisCrossing):
+            azimuth_change(path, n_samples=5)
 
 
 class TestArrayContract:

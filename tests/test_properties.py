@@ -77,8 +77,8 @@ class TestFluxLinearity:
     @given(st.floats(0.2, 3.0))
     def test_flux_scales_with_field_strength(self, b):
         disc = DiscSpec(Point(0, 0, 0), 0.5)
-        base = disc_flux(SolenoidBField(SolenoidSpec(1.0, 1.0)), disc, tol=1e-10)
-        scaled = disc_flux(SolenoidBField(SolenoidSpec(1.0, b)), disc, tol=1e-10)
+        base = disc_flux(SolenoidBField(SolenoidSpec(1.0, 1.0)), disc, tol=1e-10).value
+        scaled = disc_flux(SolenoidBField(SolenoidSpec(1.0, b)), disc, tol=1e-10).value
         assert scaled == pytest.approx(b * base, rel=1e-9)
 
 

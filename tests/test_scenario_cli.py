@@ -7,7 +7,9 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from abgauge import SolenoidSpec, SolenoidTransverseField, TransformedPotentialField, LandauField
+from abgauge import (DiscSpec, LandauField, Point, SolenoidBField, SolenoidSpec,
+                     SolenoidTransverseField, TransformedPotentialField, disc_flux)
+from abgauge.calculus import _polar_flux_level
 from abgauge.cli import main
 from abgauge.errors import ParseError
 from abgauge.scenario import (exit_code, load_scenario, record_csv, record_json,
@@ -173,6 +175,46 @@ class TestScenarioExecution:
         assert record.reports[0].value == pytest.approx(0.5 * math.atan2(1.1, -40.0),
                                                         abs=1e-8)
 
+    def test_disc_flux_reports_its_last_level_difference(self):
+        # An off-centre disc cutting the shell: B jumps inside the panels,
+        # so successive levels differ well above rounding.
+        raw = minimal_scenario(
+            discs={"d": {"center": [0.5, 0, 0], "radius": 1.0}},
+            operations=[{"op": "disc_flux", "field": "solenoid.B", "disc": "d", "tol": 1e-3}])
+        rep = run_scenario(scenario_from_dict(raw)).reports[0]
+        b, disc = SolenoidBField(SolenoidSpec(1.0, 1.0)), DiscSpec(Point(0.5, 0, 0), 1.0)
+        levels = [_polar_flux_level(b, disc, [0.0, 1.0], k, 10, 10) for k in range(4)]
+        assert abs(levels[2] - levels[1]) >= 1e-3 > abs(levels[3] - levels[2])
+        assert rep.value == levels[3]
+        assert rep.error_estimate == abs(levels[3] - levels[2]) > 0.0
+        assert disc_flux(b, disc, tol=1e-3).n_points == 100 * 2 ** 7
+
+    def test_single_half_length_estimate_is_null(self):
+        raw = minimal_scenario(quadrature={"half_lengths": [8.0]},
+                               operations=[{"op": "numeric_potential", "at": [2, 0, 0]}])
+        text = record_json(run_scenario(scenario_from_dict(raw)))
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+        report = json.loads(text, parse_constant=reject)["reports"][0]
+        assert report["error"] is None
+        assert report["error_estimate"] is None
+
+    def test_numeric_b_field_estimate_is_null(self):
+        raw = minimal_scenario(quadrature={"half_lengths": [8.0, 16.0]},
+                               operations=[{"op": "numeric_b_field", "at": [2, 0, 0]}])
+        report = run_scenario(scenario_from_dict(raw)).reports[0]
+        assert report.error is None
+        assert report.error_estimate is None
+
+    def test_winding_through_the_axis_is_an_operation_error(self):
+        square = [[-1, 0, 0], [1, 0, 0], [1, 2, 0], [-1, 2, 0], [-1, 0, 0]]
+        raw = minimal_scenario(paths={"sq": {"kind": "polyline", "points": square}},
+                               operations=[{"op": "winding_number", "loop": "sq"}])
+        record = run_scenario(scenario_from_dict(raw))
+        assert exit_code(record) == 3
+        assert record.reports[0].error.startswith("AxisCrossing: ")
+
     def test_every_operation_reported_once(self):
         sc = load_scenario(bundled_path("loop_flux"))
         record = run_scenario(sc)
@@ -289,6 +331,14 @@ class TestCli:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(bad))
         assert main(["run", str(p), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_eval_prints_no_negative_zero(self, capsys, fmt):
+        assert main(["eval", "solenoid.AS", "--at", "2,0,0", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert "-0.0" not in out
+        assert ("value: [0.0, 0.25, 0.0]" in out if fmt == "text"
+                else json.loads(out)["value"] == [0.0, 0.25, 0.0])
 
     def test_run_removed_n_z_exits_2(self, tmp_path):
         p = tmp_path / "nz.json"
