@@ -46,7 +46,7 @@ def main() -> int:
 
         print("  n_phi sweep (fixed L = 64R, no extrapolation):")
         for n in ORDERS:
-            cfg_n = QuadratureConfig(n_phi=n, half_lengths=(64.0,), extrapolation="none")
+            cfg_n = QuadratureConfig(n_phi=n, half_lengths=(64.0,))
             v = numeric_potential(p, S, cfg_n).per_length[0]
             err = float(np.max(np.abs(v - exact))) / scale
             print(f"    n_phi = {n:3d}   rel err = {err:.3e}")

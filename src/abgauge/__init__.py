@@ -27,6 +27,6 @@ from .calculus import (CirculationReport, DiffConfig, HelmholtzReport,
                        numeric_divergence, shrinking_loop_circulation,
                        stokes_residual)
 from .geometry import (DiscSpec, LoopSpec, PathSpec, Point, azimuth_change,
-                       continuous_azimuth, endpoint_azimuths, winding_number)
+                       endpoint_azimuths, winding_number)
 
 __version__ = "0.1.0"

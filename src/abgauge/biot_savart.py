@@ -50,7 +50,6 @@ class QuadratureConfig:
 
     n_phi: int = 48
     half_lengths: tuple = (8.0, 16.0, 32.0, 64.0)
-    extrapolation: str = "richardson"
 
     def __post_init__(self):
         if self.n_phi < 8:
@@ -62,8 +61,6 @@ class QuadratureConfig:
             raise ValueError("half_lengths must be strictly ascending")
         if hl[0] < 4.0:
             raise ValueError("half_lengths must be at least 4 R")
-        if self.extrapolation not in ("none", "richardson"):
-            raise ValueError("extrapolation must be 'none' or 'richardson'")
         object.__setattr__(self, "half_lengths", hl)
 
 
@@ -163,8 +160,7 @@ def numeric_potential(p, s: SolenoidSpec,
     if len(per_length) < 2:
         limit, err = per_length[-1], None
     else:
-        seq = per_length if cfg.extrapolation == "none" else \
-            neville_to_zero([1.0 / L ** 2 for L in lengths], per_length)[1]
+        seq = neville_to_zero([1.0 / L ** 2 for L in lengths], per_length)[1]
         limit = seq[-1]
         err = float(np.max(np.abs(seq[-1] - seq[-2]), initial=0.0))
     _check_monotone_approach(per_length, limit, pts)

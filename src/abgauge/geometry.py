@@ -4,12 +4,12 @@ Paths are evaluated on arrays: ``PathSpec.points(ts)`` and
 ``PathSpec.velocities(ts)`` take an (N,) array of parameters in [0, 1] and
 return (N, 3); ``point_at``/``velocity_at`` are the one-row case.  All
 values are immutable after construction and safe to share between threads.
-Azimuth unwrapping is sample based: principal angles on a uniform
-parameter grid are continued onto the nearest branch, the stable change
-doubles the samples through ``extrapolation.refine`` and the winding count
-rounds it.  Axis crossings are found in closed form for arcs and segments,
-by the samples for parametric paths.  A non-finite sample stops the
-bookkeeping with ``NonFinite``.
+``azimuth_change`` is exact for arcs and polylines: a polyline sums the
+branch-nearest steps between its vertices and an arc takes a closed form.
+Only parametric paths are sampled, doubling the samples through
+``extrapolation.refine``.  Axis crossings are found in closed form for arcs
+and segments, by the samples for parametric paths.  The winding count
+rounds the change; a non-finite sample or datum stops with ``NonFinite``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .extrapolation import refine
 
 AXIS_CUTOFF = 1e-9
 CLOSURE_TOL = 1e-12
+_NEAR_AXIS = f"path passes within {AXIS_CUTOFF} of the z-axis; azimuth undefined"
 
 # Azimuth sampling: first sample count, doublings, relative agreement.
 _N_SAMPLES = 4096
@@ -270,11 +271,6 @@ class PathSpec:
         return bool(float(gaps.max()) <= 10.0 * mean) if mean > 0 else True
 
 
-def _wrap_to_pi(deltas: np.ndarray) -> np.ndarray:
-    """Map angle increments onto the nearest branch, |delta| <= pi."""
-    return deltas - 2.0 * math.pi * np.round(deltas / (2.0 * math.pi))
-
-
 def axis_distance(path: PathSpec) -> float:
     """Closest approach to the z-axis in closed form per piece; inf if parametric.
 
@@ -300,51 +296,52 @@ def axis_distance(path: PathSpec) -> float:
     return best
 
 
-def _raw_azimuths(path: PathSpec, n_samples: int) -> np.ndarray:
-    pts = path.sample(n_samples)
-    require_finite(pts, pts, lambda k: k / (n_samples - 1), "path sample")
-    rho = np.hypot(pts[:, 0], pts[:, 1])
-    if axis_distance(path) < AXIS_CUTOFF or np.any(rho < AXIS_CUTOFF):
-        raise AxisCrossing(
-            f"path passes within {AXIS_CUTOFF} of the z-axis; azimuth undefined")
-    return np.arctan2(pts[:, 1], pts[:, 0])
+def _wrapped_sum(points: np.ndarray) -> float:
+    """fsum of the branch-nearest azimuth steps between consecutive (N, 3) points."""
+    d = np.diff(np.arctan2(points[:, 1], points[:, 0]))
+    return math.fsum((d - 2.0 * math.pi * np.round(d / (2.0 * math.pi))).tolist())
 
 
-def continuous_azimuth(path: PathSpec, n_samples: int = _N_SAMPLES) -> np.ndarray:
-    """Unwrapped azimuth along the path, one value per sample.
-
-    The first entry is the principal azimuth of the start point; later
-    entries continue it so consecutive jumps stay below pi.
-    """
-    raw = _raw_azimuths(path, n_samples)
-    deltas = _wrap_to_pi(np.diff(raw))
-    out = np.empty_like(raw)
-    out[0] = raw[0]
-    out[1:] = raw[0] + np.cumsum(deltas)
-    return out
-
-def azimuth_change(path: PathSpec, n_samples: int = _N_SAMPLES) -> float:
-    """Total unwrapped azimuth change phi(1) - phi(0).
-
-    Accumulated with exact (fsum) summation, so reversing the path negates
-    the result bitwise.
-    """
-    raw = _raw_azimuths(path, n_samples)
-    deltas = _wrap_to_pi(np.diff(raw))
-    return math.fsum(deltas.tolist())
+def _sampled_change(path: PathSpec, n: int) -> float:
+    pts = path.sample(n)
+    require_finite(pts, pts, lambda k: k / (n - 1), "path sample")
+    if np.hypot(pts[:, 0], pts[:, 1]).min() < AXIS_CUTOFF:
+        raise AxisCrossing(_NEAR_AXIS)
+    return _wrapped_sum(pts)
 
 
-def stable_azimuth_change(path: PathSpec) -> float:
-    """Azimuth change with the sample count doubled until two runs agree."""
-    return refine(lambda k: azimuth_change(path, _N_SAMPLES << k),
-                  lambda cur, prev: abs(cur - prev) <= _AZIMUTH_RTOL * (1.0 + abs(cur)),
-                  _MAX_DOUBLINGS, "azimuth change")[0]
+def azimuth_change(path: PathSpec) -> float:
+    """Azimuth change phi(1) - phi(0) continued along the path: exact for arcs and
+    polylines, refined samples for parametric pieces; reversal negates bitwise."""
+    if path.is_reversed:
+        return -azimuth_change(path.reverse())
+    if path.kind == "concat":
+        return math.fsum(azimuth_change(c) for c in path.children)
+    if path.kind == "parametric":
+        return refine(lambda k: _sampled_change(path, _N_SAMPLES << k),
+                      lambda cur, prev: abs(cur - prev) <= _AZIMUTH_RTOL * (1.0 + abs(cur)),
+                      _MAX_DOUBLINGS, "azimuth change")[0]
+    if not np.isfinite(path.vertices or (*path.arc[0], *path.arc[1:])).all():
+        raise NonFinite(f"{path.kind} data is not finite: {path.vertices or path.arc}")
+    if axis_distance(path) < AXIS_CUTOFF:
+        raise AxisCrossing(_NEAR_AXIS)
+    if path.kind == "polyline":
+        return _wrapped_sum(np.asarray(path.vertices))
+    # In complex xy an arc point is c + r e^(ia) = e^(ia) (r + c e^(-ia)) = c (1 + e^(ia) r/c).
+    # The first bracket (axis inside the circle) or the second (outside) stays in the right
+    # half plane; the change is the sweep (inside) or 0 plus that bracket's argument change.
+    (cx, cy, _), r, phase, sweep = path.arc
+    inside = math.hypot(cx, cy) < r
+    cos, sin = np.cos([phase, phase + sweep]), np.sin([phase, phase + sweep])
+    k, m = cx * cos + cy * sin, cx * sin - cy * cos
+    arg = -np.arctan2(m, r + k) if inside else np.arctan2(r * m, cx * cx + cy * cy + r * k)
+    return sweep * inside + float(arg[1] - arg[0])
 
 
 def endpoint_azimuths(path: PathSpec) -> tuple:
     """(start, end) azimuths on the branch continued along the path."""
-    start = float(_raw_azimuths(path, 2)[0])
-    return start, start + stable_azimuth_change(path)
+    start = float(np.arctan2(path.start[1], path.start[0]))
+    return start, start + azimuth_change(path)
 
 
 @dataclass(frozen=True)
@@ -367,9 +364,9 @@ class LoopSpec:
 
 
 def winding_number(loop: LoopSpec) -> int:
-    """Signed revolutions around the z-axis: the stable azimuth change in whole
-    turns, or NoConvergence when it is more than 1e-6 turns from an integer."""
-    turns = stable_azimuth_change(loop.path) / (2.0 * math.pi)
+    """Signed revolutions around the z-axis: the azimuth change in whole turns,
+    or NoConvergence when it is more than 1e-6 turns from an integer."""
+    turns = azimuth_change(loop.path) / (2.0 * math.pi)
     if abs(turns - round(turns)) > 1e-6:
         raise NoConvergence(f"loop azimuth change is {turns!r} turns, not a whole number")
     return round(turns)

@@ -208,8 +208,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         solenoid = SolenoidSpec(R=sol.get("R", 1.0), B=sol.get("B", 1.0))
         quadrature = QuadratureConfig(
             n_phi=quad.get("n_phi", 48),
-            half_lengths=tuple(quad.get("half_lengths", (8.0, 16.0, 32.0, 64.0))),
-            extrapolation=quad.get("extrapolation", "richardson"))
+            half_lengths=tuple(quad.get("half_lengths", (8.0, 16.0, 32.0, 64.0))))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

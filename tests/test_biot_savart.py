@@ -35,10 +35,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             QuadratureConfig(half_lengths=(8, bad))
 
-    def test_extrapolation_values(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(extrapolation="pade")
-
 
 class TestNumericPotential:
     def test_exterior_point_matches_closed_form(self):
@@ -82,12 +78,6 @@ class TestNumericPotential:
         bad = [np.array([0.0, 0.01, 0.0]), np.array([0.0, 0.1, 0.0])]
         with pytest.raises(NonConvergent):
             _check_monotone_approach(bad, np.zeros(3))
-
-    def test_extrapolation_none_returns_last(self):
-        cfg = QuadratureConfig(n_phi=32, half_lengths=(8, 16),
-                               extrapolation="none")
-        r = numeric_potential((2, 0, 0), S, cfg)
-        assert np.all(r.value == r.per_length[-1])
 
     def test_single_half_length_has_no_estimate(self):
         r = numeric_potential((2, 0, 0), S, QuadratureConfig(n_phi=32, half_lengths=(8,)))
@@ -135,13 +125,11 @@ class TestTruncationDecay:
 
     def test_pure_quadrature_error_cascade(self):
         p = (1.1, 0, 0.3)
-        ref_cfg = QuadratureConfig(n_phi=128, half_lengths=(16.0,),
-                                   extrapolation="none")
+        ref_cfg = QuadratureConfig(n_phi=128, half_lengths=(16.0,))
         ref = numeric_potential(p, S, ref_cfg).per_length[0]
         prev = None
         for n in (8, 16, 32):
-            cfg = QuadratureConfig(n_phi=n, half_lengths=(16.0,),
-                                   extrapolation="none")
+            cfg = QuadratureConfig(n_phi=n, half_lengths=(16.0,))
             err = float(np.max(np.abs(numeric_potential(p, S, cfg).per_length[0] - ref)))
             if prev is not None and prev > 1e-13:
                 assert err <= prev / 4.0 or err < 1e-13

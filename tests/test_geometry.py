@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from abgauge import LoopSpec, PathSpec, Point, winding_number
 from abgauge.errors import AxisCrossing, NonFinite, NotClosed
-from abgauge.geometry import (axis_distance, azimuth_change, continuous_azimuth,
-                              endpoint_azimuths, stable_azimuth_change)
+from abgauge.geometry import axis_distance, azimuth_change, endpoint_azimuths
 
 
 class TestPoint:
@@ -28,32 +27,29 @@ class TestPoint:
 
 class TestContinuousAzimuth:
     def test_unit_circle_ccw(self):
-        az = continuous_azimuth(PathSpec.circle((0, 0, 0), 1.0), 1024)
-        assert az[-1] - az[0] == pytest.approx(2 * math.pi, abs=1e-10)
+        path = PathSpec.circle((0, 0, 0), 1.0)
+        assert azimuth_change(path) == pytest.approx(2 * math.pi, abs=1e-10)
 
     def test_straight_segment(self):
         path = PathSpec.segment((2, 0, 0), (2, 1, 0))
-        az = continuous_azimuth(path, 1024)
-        assert az[-1] - az[0] == pytest.approx(math.atan2(1, 2), abs=1e-12)
+        assert azimuth_change(path) == pytest.approx(math.atan2(1, 2), abs=1e-12)
 
     def test_double_winding(self):
-        az = continuous_azimuth(PathSpec.circle((0, 0, 0), 1.0, turns=2), 4096)
-        assert az[-1] - az[0] == pytest.approx(4 * math.pi, abs=1e-10)
-
-    def test_no_jump_exceeds_pi(self):
-        az = continuous_azimuth(PathSpec.circle((0.4, 0, 0), 1.0), 4096)
-        assert np.max(np.abs(np.diff(az))) < math.pi
+        path = PathSpec.circle((0, 0, 0), 1.0, turns=2)
+        assert azimuth_change(path) == pytest.approx(4 * math.pi, abs=1e-10)
 
     def test_axis_crossing_rejected(self):
         path = PathSpec.segment((0, 0, 0), (1, 0, 0))
         with pytest.raises(AxisCrossing):
-            continuous_azimuth(path, 256)
+            azimuth_change(path)
 
     def test_axis_crossing_detected_on_sample(self):
-        # Samples at odd counts land exactly on the midpoint crossing.
-        path = PathSpec.segment((-1, 0, 0), (1, 0, 0))
+        # A parametric path has no closed form; it rests on the axis for
+        # 0.4 <= t <= 0.6, where samples land.
+        path = PathSpec.parametric(
+            lambda t: np.array([min(t - 0.4, 0.0) + max(t - 0.6, 0.0), 0.0, 0.0]))
         with pytest.raises(AxisCrossing):
-            continuous_azimuth(path, 257)
+            azimuth_change(path)
 
     def test_reversal_negates_change_exactly(self):
         path = PathSpec.arc((0.2, 0.1, 0), 1.3, 0.3, 2.8)
@@ -254,7 +250,7 @@ class TestPathsThroughTheAxis:
 
     def test_segment_through_the_axis(self):
         with pytest.raises(AxisCrossing):
-            stable_azimuth_change(PathSpec.segment((-1, 0, 0), (1, 0, 0)))
+            azimuth_change(PathSpec.segment((-1, 0, 0), (1, 0, 0)))
 
     def test_arc_through_the_axis(self):
         with pytest.raises(AxisCrossing):
@@ -267,9 +263,70 @@ class TestPathsThroughTheAxis:
             azimuth_change(PathSpec.concat(a, b).reverse())
 
     def test_parametric_keeps_the_sampled_check(self):
-        path = PathSpec.parametric(lambda t: np.array([2.0 * t - 1.0, 0.0, 0.0]))
+        path = PathSpec.parametric(lambda t: np.array([t, 0.0, 0.0]))
         with pytest.raises(AxisCrossing):
-            azimuth_change(path, n_samples=5)
+            azimuth_change(path)
+
+
+def _seeded_azimuth_cases():
+    """Arcs and polygons at least 1e-3 from the axis, every other one reversed."""
+    rng = np.random.default_rng(20261018)
+    two_pi = 2.0 * math.pi
+    sweeps = {"multi-turn": lambda: rng.choice([-1, 1]) * (two_pi * rng.integers(1, 4)
+                                                           + rng.uniform(0, two_pi)),
+              "whole turns": lambda: two_pi * rng.choice([-2, -1, 1, 3]),
+              "tiny sweep": lambda: rng.choice([-1, 1]) * rng.uniform(1e-9, 1e-6),
+              "partial": lambda: rng.uniform(-two_pi, two_pi)}
+    cases = {}
+    for kind, sweep in sweeps.items():
+        for where in ("axis inside", "axis outside"):
+            r = rng.uniform(0.5, 2.0)
+            rho = rng.uniform(0, r - 1e-3) if where == "axis inside" else rng.uniform(r + 1e-3, 4)
+            phi = rng.uniform(-math.pi, math.pi)
+            center = (rho * math.cos(phi), rho * math.sin(phi), rng.uniform(-1, 1))
+            phase = rng.uniform(-7, 7)
+            cases[f"{kind}, {where}"] = PathSpec._arc(center, r, phase, sweep(), "arc")
+    while len(cases) < 12:
+        n = int(rng.integers(3, 8))
+        verts = rng.uniform(-2, 2, size=(n, 3)) + rng.uniform(-1, 1, size=3)
+        path = PathSpec.polyline(np.vstack([verts, verts[:1]]) if rng.random() < 0.5 else verts)
+        if axis_distance(path) >= 1e-3:
+            cases[f"polygon {len(cases) - 7}"] = path
+    return {name + (", reversed" if k % 2 else ""): p.reverse() if k % 2 else p
+            for k, (name, p) in enumerate(cases.items())}
+
+
+class TestExactAzimuth:
+    """Closed forms for arcs and polylines, against the sampled route and near the axis."""
+
+    @pytest.mark.parametrize("name", list(_seeded_azimuth_cases()))
+    def test_matches_the_sampled_route(self, name):
+        path = _seeded_azimuth_cases()[name]
+        sampled = azimuth_change(PathSpec.parametric(path.point_at))
+        assert abs(azimuth_change(path) - sampled) <= 1e-12
+
+    def test_arc_passing_just_outside_the_axis(self):
+        # The axis lies 1e-8 inside the circle, so the arc subtends the
+        # inscribed angle plus pi.
+        change = azimuth_change(PathSpec.arc((1, 0, 0), 1 + 1e-8, 0.5, 5.0))
+        assert change == pytest.approx((5.0 - 0.5) / 2 + math.pi, abs=1e-6)
+
+    def test_circle_passing_just_outside_the_axis(self):
+        loop = LoopSpec.circle((1, 0, 0), 1.00000001)
+        assert winding_number(loop) == 1
+        assert winding_number(loop.reverse()) == -1
+
+    @pytest.mark.parametrize("phase", [-2.5, 0.0, 0.3, 1.0, 2.0, 4.0])
+    def test_half_circle_whose_chord_crosses_the_axis(self, phase):
+        for sweep in (math.pi, -math.pi, 3 * math.pi):
+            path = PathSpec.arc((0, 0, 0), 1.5, phase, phase + sweep)
+            assert azimuth_change(path) == pytest.approx(sweep, abs=1e-12)
+
+    def test_non_finite_data_raises(self):
+        with pytest.raises(NonFinite):
+            azimuth_change(PathSpec.segment((1, 0, 0), (math.nan, 1, 0)))
+        with pytest.raises(NonFinite):
+            azimuth_change(PathSpec.arc((0, 0, 0), 1.0, 0.0, math.inf))
 
 
 class TestArrayContract:
@@ -305,7 +362,7 @@ class TestNonFiniteSamples:
     def test_azimuth_stops_at_a_nan_point(self):
         path = PathSpec.parametric(lambda t: np.array([1.0, math.nan if t > 0.5 else t, 0.0]))
         with pytest.raises(NonFinite, match=r"path sample is not finite at t = 0\.5\d*, point"):
-            azimuth_change(path, 2049)
+            azimuth_change(path)
         with pytest.raises(NonFinite):
             winding_number(LoopSpec(PathSpec.concat(path, PathSpec.segment(path.end, path.start))))
 

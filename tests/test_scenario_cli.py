@@ -78,6 +78,7 @@ class TestScenarioIngestion:
         {"quadrature": {"half_lengths": [8, math.nan]}},
         {"solenoid": {"R": math.nan, "B": 1.0}},
         {"solenoid": {"R": 1.0, "B": math.inf}},
+        {"quadrature": {"extrapolation": "richardson"}},
     ])
     def test_removed_or_non_finite_settings_rejected(self, overrides):
         with pytest.raises(ParseError):
@@ -214,6 +215,14 @@ class TestScenarioExecution:
         record = run_scenario(scenario_from_dict(raw))
         assert exit_code(record) == 3
         assert record.reports[0].error.startswith("AxisCrossing: ")
+
+    def test_winding_of_a_circle_passing_just_outside_the_axis(self):
+        circle = {"kind": "circle", "center": [1, 0, 0], "radius": 1.00000001}
+        raw = minimal_scenario(paths={"c": circle},
+                               operations=[{"op": "winding_number", "loop": "c"}])
+        record = run_scenario(scenario_from_dict(raw))
+        assert exit_code(record) == 0
+        assert record.reports[0].value == 1.0
 
     def test_every_operation_reported_once(self):
         sc = load_scenario(bundled_path("loop_flux"))
@@ -435,6 +444,11 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["phase"]) < 1e-8
         assert payload["singular_gauge"] is True
+
+    def test_phase_loop_winding_just_outside_the_axis(self, capsys):
+        assert main(["phase", "loop", "--circle", "1.00000001", "--center", "1,0,0",
+                     "--tol", "1e-9"]) == 0
+        assert "winding: 1\n" in capsys.readouterr().out
 
     def test_phase_open_arc(self, capsys):
         assert main(["phase", "open", "--arc", "2:0:0.7853981633974483",
