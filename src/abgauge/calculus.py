@@ -32,6 +32,9 @@ from .geometry import DiscSpec, LoopSpec, PathSpec, as_points, as_xyz, require_f
 # Points per field call; larger refinement levels are evaluated in blocks.
 _CHUNK = 1 << 14
 
+# Gauss-Legendre order per panel of line quadrature and per polar axis of disc flux.
+_LINE_ORDER, _DISC_ORDER = 8, 10
+
 
 @dataclass(frozen=True)
 class DiffConfig:
@@ -199,7 +202,7 @@ def _integrand(f: FieldExpr, path: PathSpec):
 
 
 def line_integral(f: FieldExpr, path: PathSpec, tol: float = 1e-9,
-                  order: int = 8, max_doublings: int = 16) -> CirculationReport:
+                  max_doublings: int = 16) -> CirculationReport:
     """Work integral of f along the path, refined until |I_2n - I_n| < tol.
 
     A reversed path is integrated as its forward twin on the same quadrature
@@ -208,11 +211,11 @@ def line_integral(f: FieldExpr, path: PathSpec, tol: float = 1e-9,
     align with their kinks.
     """
     if path.is_reversed:
-        rep = line_integral(f, path.reverse(), tol, order, max_doublings)
+        rep = line_integral(f, path.reverse(), tol, max_doublings)
         return CirculationReport(-rep.value, rep.n_points, rep.error_estimate)
 
     if path.kind == "concat":
-        parts = [line_integral(f, c, tol / len(path.children), order, max_doublings)
+        parts = [line_integral(f, c, tol / len(path.children), max_doublings)
                  for c in path.children]
     else:
         if path.kind == "polyline":
@@ -225,10 +228,10 @@ def line_integral(f: FieldExpr, path: PathSpec, tol: float = 1e-9,
         parts = []
         for piece, start in pieces:
             g = _integrand(f, piece)
-            val, prev, level = refine(lambda k: _composite(g, start << k, order),
+            val, prev, level = refine(lambda k: _composite(g, start << k, _LINE_ORDER),
                                       lambda a, b: abs(a - b) < piece_tol,
                                       max_doublings, f"line quadrature to tol={piece_tol:g}")
-            parts.append(CirculationReport(val, (start << level) * order, abs(val - prev)))
+            parts.append(CirculationReport(val, (start << level) * _LINE_ORDER, abs(val - prev)))
     return CirculationReport(math.fsum(r.value for r in parts), sum(r.n_points for r in parts),
                              math.fsum(r.error_estimate for r in parts))
 
@@ -237,11 +240,9 @@ def line_integral(f: FieldExpr, path: PathSpec, tol: float = 1e-9,
 # Disc fluxes
 # ---------------------------------------------------------------------------
 
-def _polar_flux_level(f: FieldExpr, disc: DiscSpec, redges, level: int,
-                      r_order: int, t_order: int) -> float:
+def _polar_flux_level(f: FieldExpr, disc: DiscSpec, redges, level: int) -> float:
     """Polar product rule on the whole (radius x angle) node grid of one level."""
-    r_nodes, r_weights = _gl01(r_order)
-    t_nodes, t_weights = _gl01(t_order)
+    nodes, weights = _gl01(_DISC_ORDER)
     cx, cy, cz = disc.center.x, disc.center.y, disc.center.z
     two_pi = 2.0 * math.pi
     rad_panels = 2 ** level
@@ -250,12 +251,12 @@ def _polar_flux_level(f: FieldExpr, disc: DiscSpec, redges, level: int,
     r, wr = [], []
     for lo, hi in zip(redges, redges[1:]):
         pw = (hi - lo) / rad_panels
-        r.append((lo + k * pw + pw * r_nodes).ravel())
-        wr.append(np.tile(r_weights * pw, rad_panels) * r[-1])
+        r.append((lo + k * pw + pw * nodes).ravel())
+        wr.append(np.tile(weights * pw, rad_panels) * r[-1])
     r, wr = np.concatenate(r), np.concatenate(wr)
     tw_width = two_pi / ang_panels
-    theta = (two_pi * np.arange(ang_panels)[:, None] / ang_panels + tw_width * t_nodes).ravel()
-    tw = np.tile(t_weights, ang_panels)
+    theta = (two_pi * np.arange(ang_panels)[:, None] / ang_panels + tw_width * nodes).ravel()
+    tw = np.tile(weights, ang_panels)
     cos, sin = np.cos(theta), np.sin(theta)
     rows = max(1, _CHUNK // theta.size)
 
@@ -272,8 +273,7 @@ def _polar_flux_level(f: FieldExpr, disc: DiscSpec, redges, level: int,
 
 
 def disc_flux(f: FieldExpr, disc: DiscSpec, deltas: Sequence = (),
-              tol: float = 1e-9, order: int = 10,
-              max_doublings: int = 8) -> CirculationReport:
+              tol: float = 1e-9, max_doublings: int = 8) -> CirculationReport:
     """Flux of the smooth field through the disc plus enclosed delta fluxes.
 
     The smooth part uses a polar Gauss product rule refined until
@@ -290,13 +290,13 @@ def disc_flux(f: FieldExpr, disc: DiscSpec, deltas: Sequence = (),
     redges = [0.0, *cuts, disc.radius]
 
     smooth, prev, level = refine(
-        lambda k: _polar_flux_level(f, disc, redges, k, order, order),
+        lambda k: _polar_flux_level(f, disc, redges, k),
         lambda a, b: abs(a - b) < tol, max_doublings, f"disc flux to tol={tol:g}")
     total = smooth * disc.orientation
     for d in deltas:
         if isinstance(d, StringField):
             total += d.flux_through(disc)
-    nodes = (len(redges) - 1) * order * order * 2 ** (2 * level + 1)
+    nodes = (len(redges) - 1) * _DISC_ORDER ** 2 * 2 ** (2 * level + 1)
     return CirculationReport(total, nodes, abs(smooth - prev))
 
 

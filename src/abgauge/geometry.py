@@ -4,12 +4,14 @@ Paths are evaluated on arrays: ``PathSpec.points(ts)`` and
 ``PathSpec.velocities(ts)`` take an (N,) array of parameters in [0, 1] and
 return (N, 3); ``point_at``/``velocity_at`` are the one-row case.  All
 values are immutable after construction and safe to share between threads.
-``azimuth_change`` is exact for arcs and polylines: a polyline sums the
-branch-nearest steps between its vertices and an arc takes a closed form.
-Only parametric paths are sampled, doubling the samples through
-``extrapolation.refine``.  Axis crossings are found in closed form for arcs
-and segments, by the samples for parametric paths.  The winding count
-rounds the change; a non-finite sample or datum stops with ``NonFinite``.
+Arcs and polylines check their data at construction (``NonFinite`` when
+it cannot give finite points).  ``azimuth_change`` is exact for arcs and
+polylines: a polyline sums the branch-nearest steps between its vertices
+and an arc takes a closed form.  Only parametric paths are sampled,
+doubling the samples through ``extrapolation.refine``.  Axis crossings are
+found in closed form for arcs and segments, by the chords between samples
+for parametric paths.  The winding count rounds the change; a non-finite
+sample stops with ``NonFinite``.
 """
 
 from __future__ import annotations
@@ -122,6 +124,10 @@ class PathSpec:
         verts = tuple(tuple(float(c) for c in as_xyz(p)) for p in points)
         if len(verts) < 2:
             raise ValueError("polyline needs at least 2 vertices")
+        # A NaN or infinite vertex makes a step non-finite too.
+        for k, (p, q) in enumerate(zip(verts, verts[1:])):
+            if not all(math.isfinite(b - a) for a, b in zip(p, q)):
+                raise NonFinite(f"polyline step {k} from {p} to {q} is not finite")
         return cls(kind="polyline", vertices=verts)
 
     @classmethod
@@ -146,7 +152,12 @@ class PathSpec:
         if radius <= 0:
             raise ValueError(f"{what} radius must be positive")
         c = tuple(float(v) for v in as_xyz(center))
-        return cls(kind="arc", arc=(c, float(radius), float(phase), float(sweep)))
+        r, phase, sweep = float(radius), float(phase), float(sweep)
+        # Points lie within |c_xy| + r of the axis, at angles from phase to phase + sweep.
+        if not all(map(math.isfinite, (c[2], math.hypot(c[0], c[1]) + r, sweep, phase + sweep))):
+            raise NonFinite(f"{what} data do not give finite points: center {c}, "
+                            f"radius {r}, phase {phase}, sweep {sweep}")
+        return cls(kind="arc", arc=(c, r, phase, sweep))
 
     @classmethod
     def concat(cls, *paths: "PathSpec") -> "PathSpec":
@@ -255,21 +266,6 @@ class PathSpec:
             return self.reverse().sample(n)[::-1].copy()
         return self.points(np.linspace(0.0, 1.0, n))
 
-    def check_sampled_continuity(self, n: int = 4096) -> bool:
-        """True when every sample is finite and no parametric piece has a gap
-        over 10x its mean; arcs, polylines and concat joins are continuous.
-        """
-        if self.kind == "concat":
-            return all(c.check_sampled_continuity(n) for c in self.children)
-        pts = self.sample(n)
-        if not np.isfinite(pts).all():
-            return False
-        if self.kind != "parametric":
-            return True
-        gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-        mean = float(gaps.mean())
-        return bool(float(gaps.max()) <= 10.0 * mean) if mean > 0 else True
-
 
 def axis_distance(path: PathSpec) -> float:
     """Closest approach to the z-axis in closed form per piece; inf if parametric.
@@ -305,7 +301,11 @@ def _wrapped_sum(points: np.ndarray) -> float:
 def _sampled_change(path: PathSpec, n: int) -> float:
     pts = path.sample(n)
     require_finite(pts, pts, lambda k: k / (n - 1), "path sample")
-    if np.hypot(pts[:, 0], pts[:, 1]).min() < AXIS_CUTOFF:
+    # Closest approach of each chord between samples: the clamped xy projection.
+    a, d = pts[:-1, :2], np.diff(pts[:, :2], axis=0)
+    dd = (d * d).sum(axis=1)
+    t = np.clip(-(a * d).sum(axis=1) / np.where(dd > 0, dd, 1.0), 0.0, 1.0)
+    if np.hypot(*(a + t[:, None] * d).T).min() < AXIS_CUTOFF:
         raise AxisCrossing(_NEAR_AXIS)
     return _wrapped_sum(pts)
 
@@ -321,8 +321,6 @@ def azimuth_change(path: PathSpec) -> float:
         return refine(lambda k: _sampled_change(path, _N_SAMPLES << k),
                       lambda cur, prev: abs(cur - prev) <= _AZIMUTH_RTOL * (1.0 + abs(cur)),
                       _MAX_DOUBLINGS, "azimuth change")[0]
-    if not np.isfinite(path.vertices or (*path.arc[0], *path.arc[1:])).all():
-        raise NonFinite(f"{path.kind} data is not finite: {path.vertices or path.arc}")
     if axis_distance(path) < AXIS_CUTOFF:
         raise AxisCrossing(_NEAR_AXIS)
     if path.kind == "polyline":

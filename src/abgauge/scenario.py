@@ -2,9 +2,11 @@
 
 A scenario is a JSON document naming a solenoid, fields and gauges by
 string id, paths/discs, and a list of operations with optional declared
-expectations.  Running one produces a RunRecord whose JSON/CSV serialization
-is deterministic for a fixed scenario and seed; wall-clock metadata goes to
-a separate sidecar payload so the main outputs stay byte-comparable.
+expectations.  Each field, gauge, path or disc an operation refers to is
+built once, at parse, into ``OpRequest.refs``; handlers take those objects.
+Running one produces a RunRecord whose JSON/CSV serialization is
+deterministic for a fixed scenario and seed; wall-clock metadata goes to a
+separate sidecar payload so the main outputs stay byte-comparable.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -37,7 +39,7 @@ from .biot_savart import (NumericBiotSavartField, QuadratureConfig,
 from .calculus import (DiffConfig, disc_flux, helmholtz_classify, line_integral,
                        numeric_curl, numeric_divergence, shrinking_loop_circulation,
                        stokes_residual)
-from .errors import ComputationError, ParseError
+from .errors import ComputationError, NonFinite, ParseError
 from .geometry import DiscSpec, LoopSpec, PathSpec, Point, winding_number
 from .svgmap import emit_field_map
 
@@ -67,10 +69,9 @@ def _required_by_op(validator, table, instance, schema):
 
 @lru_cache(maxsize=1)
 def _schema_validator():
-    """The scenario schema's validator, meta-checked once and then reused."""
+    """The scenario schema's validator, built once and reused; the tests meta-check the schema."""
     schema = load_schema()
     cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
     return jsonschema.validators.extend(cls, {"required_by_op": _required_by_op})(schema)
 
 
@@ -83,10 +84,13 @@ class Expectation:
 
 @dataclass(frozen=True)
 class OpRequest:
+    """One operation; refs maps each reference parameter (_REF_KINDS) to its built object."""
+
     index: int
     op: str
     params: dict
     expect: Optional[Expectation]
+    refs: dict
 
 
 @dataclass(frozen=True)
@@ -149,10 +153,8 @@ def _build_path(spec: dict) -> PathSpec:
                          spec["phi0"], spec["phi1"])
     elif kind == "segment":
         p = PathSpec.segment(spec["from"], spec["to"])
-    elif kind == "polyline":
+    else:  # "polyline", the one kind the schema leaves
         p = PathSpec.polyline(spec["points"])
-    else:
-        raise ParseError(f"unknown path kind {kind!r}")
     if spec.get("reverse"):
         p = p.reverse()
     return p
@@ -173,7 +175,7 @@ def load_scenario(path) -> Scenario:
 
 
 def _non_finite_at(value, where: str = "") -> Optional[str]:
-    """Location of the first NaN or infinite number in a raw scenario, or None."""
+    """Location of the first NaN or infinite number in a raw scenario or a result, or None."""
     if isinstance(value, (int, float)):
         try:
             return None if math.isfinite(value) else where
@@ -181,7 +183,7 @@ def _non_finite_at(value, where: str = "") -> Optional[str]:
             return where
     if isinstance(value, dict):
         items = value.items()
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         items = enumerate(value)
     else:
         return None
@@ -223,6 +225,12 @@ def scenario_from_dict(raw: dict) -> Scenario:
     discs = {name: _parse_geometry(_build_disc, spec, f"discs.{name}")
              for name, spec in raw.get("discs", {}).items()}
 
+    scenario = Scenario(
+        name=raw["name"], paper_claim=raw.get("paper_claim", ""),
+        seed=raw.get("seed", 0), solenoid=solenoid,
+        landau_b=raw.get("landau_b", 1.0), quadrature=quadrature,
+        definitions=definitions, paths=paths, discs=discs, operations=(),
+        output_format=raw.get("output", {}).get("format", "json"))
     ops = []
     for idx, spec in enumerate(raw["operations"]):
         params = {k: v for k, v in spec.items() if k not in ("op", "expect")}
@@ -233,49 +241,46 @@ def scenario_from_dict(raw: dict) -> Scenario:
                 raise ParseError("expectation with a value needs a tolerance")
             expect = Expectation(value=e.get("value"), tol=e.get("tol", 0.0),
                                  classification=e.get("classification"))
-        ops.append(OpRequest(index=idx, op=spec["op"], params=params, expect=expect))
-
-    scenario = Scenario(
-        name=raw["name"], paper_claim=raw.get("paper_claim", ""),
-        seed=raw.get("seed", 0), solenoid=solenoid,
-        landau_b=raw.get("landau_b", 1.0), quadrature=quadrature,
-        definitions=definitions, paths=paths, discs=discs,
-        operations=tuple(ops),
-        output_format=raw.get("output", {}).get("format", "json"))
-    _validate_references(scenario)
-    return scenario
+        ops.append(OpRequest(index=idx, op=spec["op"], params=params, expect=expect,
+                             refs=_resolve_refs(params, scenario, f"operations.{idx}")))
+    return replace(scenario, operations=tuple(ops))
 
 
 def _parse_geometry(build, spec: dict, where: str):
     """A path or disc built at parse time; any defect is a ParseError naming where."""
     try:
-        built = build(spec)
+        return build(spec)
     except (ValueError, ComputationError) as exc:
         raise ParseError(f"bad path or disc at {where}: {exc}") from exc
-    if isinstance(built, PathSpec) and not built.check_sampled_continuity():
-        raise ParseError(f"path at {where} fails the sampled-continuity check")
-    return built
 
 
-def _validate_references(scenario: Scenario) -> None:
-    for op in scenario.operations:
-        for key in ("field", "field_a", "field_b", "base"):
-            if key in op.params:
-                resolve_field(op.params[key], scenario)
-        for key in ("gauge", "gauge_a", "gauge_b"):
-            if key in op.params and op.params[key] != "none":
-                resolve_gauge(op.params[key], scenario)
-        if "gauges" in op.params:
-            for g in op.params["gauges"]:
-                if g != "none":
-                    resolve_gauge(g, scenario)
-        for key in ("path", "path1", "path2", "loop", "disc"):
-            value = op.params.get(key)
-            if isinstance(value, str):
-                (_resolve_disc if key == "disc" else _resolve_path)(value, scenario)
-            elif value is not None:
-                _parse_geometry(_build_disc if key == "disc" else _build_path, value,
-                                f"operations.{op.index}.{key}")
+# The kind of object each reference parameter names.
+_REF_KINDS = {"field": "field", "field_a": "field", "field_b": "field", "base": "field",
+             "gauge": "gauge", "gauge_a": "gauge", "gauge_b": "gauge", "gauges": "gauges",
+             "path": "path", "path1": "path", "path2": "path", "loop": "path",
+             "disc": "disc"}
+
+
+def _resolve_refs(params: dict, scenario: Scenario, where: str) -> dict:
+    """The built object of each reference parameter of one operation."""
+    refs = {}
+    for key in filter(params.__contains__, _REF_KINDS):
+        value, kind = params[key], _REF_KINDS[key]
+        if kind == "field":
+            refs[key] = resolve_field(value, scenario)
+        elif kind == "gauge":
+            refs[key] = resolve_gauge(value, scenario)
+        elif kind == "gauges":
+            refs[key] = tuple(resolve_gauge(g, scenario) for g in value)
+        elif isinstance(value, str):
+            named = scenario.paths if kind == "path" else scenario.discs
+            if value not in named:
+                raise ParseError(f"unknown {kind} id {value!r}")
+            refs[key] = named[value]
+        else:
+            build = _build_path if kind == "path" else _build_disc
+            refs[key] = _parse_geometry(build, value, f"{where}.{key}")
+    return refs
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +289,7 @@ def _validate_references(scenario: Scenario) -> None:
 
 def resolve_gauge(gauge_id, scenario: Scenario):
     """Gauge choice for a string id; 'none' means the bare potential."""
-    if gauge_id is None or gauge_id == "none":
+    if gauge_id == "none":
         return None
     if gauge_id == "gauge.sing":
         return SingularSolenoidGauge(scenario.solenoid)
@@ -321,22 +326,6 @@ def resolve_field(field_id, scenario: Scenario):
         return GaugeGradientField(resolve_gauge(field_id, scenario))
     raise ParseError(f"unknown field id {field_id!r}; known ids: "
                      f"{', '.join(FIELD_IDS)} or a definitions entry")
-
-
-def _resolve_path(value, scenario: Scenario) -> PathSpec:
-    if isinstance(value, str):
-        if value not in scenario.paths:
-            raise ParseError(f"unknown path id {value!r}")
-        return scenario.paths[value]
-    return _build_path(value)
-
-
-def _resolve_disc(value, scenario: Scenario) -> DiscSpec:
-    if isinstance(value, str):
-        if value not in scenario.discs:
-            raise ParseError(f"unknown disc id {value!r}")
-        return scenario.discs[value]
-    return _build_disc(value)
 
 
 # ---------------------------------------------------------------------------
@@ -376,75 +365,65 @@ def _op_rng(scenario: Scenario, params: dict):
     return random.Random(params.get("seed", scenario.seed))
 
 
-def _probe(scenario: Scenario, params: dict) -> PhaseProbe:
-    gauge = resolve_gauge(params.get("gauge", "none"), scenario)
-    base = None
-    if "base" in params:
-        base = resolve_field(params["base"], scenario)
-    return PhaseProbe(solenoid=scenario.solenoid, gauge=gauge,
-                      e=params.get("e", 1.0), base_field=base)
+def _probe(scenario: Scenario, params: dict, refs: dict, gauge: str = "gauge") -> PhaseProbe:
+    return PhaseProbe(solenoid=scenario.solenoid, gauge=refs.get(gauge),
+                      e=params.get("e", 1.0), base_field=refs.get("base"))
 
 
-def _h_eval_field(scenario, params):
-    f = resolve_field(params["field"], scenario)
-    return _vec(f(params["at"])), 0.0, params["field"], {}
+# Handlers map (scenario, params, refs) to (value, error estimate, target, extra).
+
+def _h_eval_field(scenario, params, refs):
+    return _vec(refs["field"](params["at"])), 0.0, params["field"], {}
 
 
-def _h_line_integral(scenario, params):
-    f = resolve_field(params["field"], scenario)
-    path = _resolve_path(params["path"], scenario)
-    rep = line_integral(f, path, tol=params.get("tol", 1e-9))
+def _h_line_integral(scenario, params, refs):
+    rep = line_integral(refs["field"], refs["path"], tol=params.get("tol", 1e-9))
     return rep.value, rep.error_estimate, params["field"], {"n_points": rep.n_points}
 
 
-def _h_winding_number(scenario, params):
-    loop = LoopSpec(_resolve_path(params["loop"], scenario))
-    return float(winding_number(loop)), 0.0, "winding", {}
+def _h_winding_number(scenario, params, refs):
+    return float(winding_number(LoopSpec(refs["loop"]))), 0.0, "winding", {}
 
 
-def _h_numeric_potential(scenario, params):
+def _h_numeric_potential(scenario, params, refs):
     rep = numeric_potential(params["at"], scenario.solenoid, scenario.quadrature)
     extra = {"per_length": [_vec(v) for v in rep.per_length],
              "half_lengths": list(rep.half_lengths)}
     return _vec(rep.value), rep.error_estimate, "solenoid.AS.numeric", extra
 
 
-def _h_numeric_b_field(scenario, params):
+def _h_numeric_b_field(scenario, params, refs):
     val = numeric_b_field(params["at"], scenario.solenoid, scenario.quadrature,
                           h=params.get("h", 1e-2))
     return _vec(val), None, "solenoid.B.numeric", {}
 
 
-def _h_disc_flux(scenario, params):
-    f = resolve_field(params["field"], scenario)
-    disc = _resolve_disc(params["disc"], scenario)
+def _h_disc_flux(scenario, params, refs):
     deltas = [StringField(scenario.solenoid)] if params.get("with_string") else []
-    rep = disc_flux(f, disc, deltas=deltas, tol=params.get("tol", 1e-9))
+    rep = disc_flux(refs["field"], refs["disc"], deltas=deltas, tol=params.get("tol", 1e-9))
     return rep.value, rep.error_estimate, params["field"], {"with_string": bool(deltas)}
 
 
-def _h_string_flux(scenario, params):
+def _h_string_flux(scenario, params, refs):
     return -scenario.solenoid.flux, 0.0, "string", {}
 
 
-def _h_shrinking_loop(scenario, params):
-    f = resolve_field(params["field"], scenario)
-    rep = shrinking_loop_circulation(f, params.get("center", (0.0, 0.0, 0.0)),
+def _h_shrinking_loop(scenario, params, refs):
+    rep = shrinking_loop_circulation(refs["field"], params.get("center", (0.0, 0.0, 0.0)),
                                      eps_list=params.get("eps", (1e-1, 1e-2, 1e-3)))
     extra = {"eps": list(rep.eps_values), "circulations": list(rep.circulations)}
     return rep.value, rep.error_estimate, params["field"], extra
 
 
-def _h_stokes_residual(scenario, params):
-    f = resolve_field(params["field"], scenario)
-    disc = _resolve_disc(params["disc"], scenario)
+def _h_stokes_residual(scenario, params, refs):
+    disc = refs["disc"]
     cfg = DiffConfig(h=params.get("h", 1e-4), order=params.get("order", 2))
-    val = stokes_residual(f, disc.boundary(), disc, cfg)
+    val = stokes_residual(refs["field"], disc.boundary(), disc, cfg)
     return val, 0.0, params["field"], {}
 
 
-def _h_helmholtz_classify(scenario, params):
-    f = resolve_field(params["field"], scenario)
+def _h_helmholtz_classify(scenario, params, refs):
+    f = refs["field"]
     rng = _op_rng(scenario, params)
     pts = _sample_points(rng, params.get("n", 50),
                          params.get("rho", (0.5, 3.0)),
@@ -458,18 +437,16 @@ def _h_helmholtz_classify(scenario, params):
     return max(rep.max_abs_div, rep.max_abs_curl), 0.0, params["field"], extra
 
 
-def _h_open_phase(scenario, params):
-    probe = _probe(scenario, params)
-    rep = open_path_phase(probe, _resolve_path(params["path"], scenario),
+def _h_open_phase(scenario, params, refs):
+    rep = open_path_phase(_probe(scenario, params, refs), refs["path"],
                           tol=params.get("tol", 1e-12))
     extra = {"transverse_part": rep.transverse_part, "gauge_part": rep.gauge_part,
              "singular_gauge": rep.singular_gauge}
     return rep.phase, rep.error_estimate, params.get("gauge", "none"), extra
 
 
-def _h_loop_phase(scenario, params):
-    probe = _probe(scenario, params)
-    rep = loop_phase(probe, LoopSpec(_resolve_path(params["loop"], scenario)),
+def _h_loop_phase(scenario, params, refs):
+    rep = loop_phase(_probe(scenario, params, refs), LoopSpec(refs["loop"]),
                      tol=params.get("tol", 1e-12))
     extra = {"transverse_part": rep.transverse_part, "gauge_part": rep.gauge_part,
              "winding": rep.winding, "singular_gauge": rep.singular_gauge,
@@ -477,30 +454,24 @@ def _h_loop_phase(scenario, params):
     return rep.phase, rep.error_estimate, params.get("gauge", "none"), extra
 
 
-def _h_interference_shift(scenario, params):
-    probe = _probe(scenario, params)
-    rep = interference_shift(probe, _resolve_path(params["path1"], scenario),
-                             _resolve_path(params["path2"], scenario),
+def _h_interference_shift(scenario, params, refs):
+    rep = interference_shift(_probe(scenario, params, refs), refs["path1"], refs["path2"],
                              tol=params.get("tol", 1e-12))
     return rep.phase, rep.error_estimate, params.get("gauge", "none"), {}
 
 
-def _h_phase_shift(scenario, params):
-    path = _resolve_path(params["path"], scenario)
-    pa = open_path_phase(_probe(scenario, {**params, "gauge": params["gauge_a"]}), path)
-    pb = open_path_phase(_probe(scenario, {**params, "gauge": params["gauge_b"]}), path)
+def _h_phase_shift(scenario, params, refs):
+    pa = open_path_phase(_probe(scenario, params, refs, "gauge_a"), refs["path"])
+    pb = open_path_phase(_probe(scenario, params, refs, "gauge_b"), refs["path"])
     extra = {"phase_a": pa.phase, "phase_b": pb.phase,
              "transverse_spread": abs(pa.transverse_part - pb.transverse_part)}
     return pa.phase - pb.phase, pa.error_estimate + pb.error_estimate, \
         f"{params['gauge_a']}-{params['gauge_b']}", extra
 
 
-def _h_gauge_scan(scenario, params):
-    path = _resolve_path(params["path"], scenario)
-    gauges = [resolve_gauge(g, scenario) for g in params["gauges"]]
-    rows = gauge_dependence_scan(path, gauges,
-                                 probe=_probe(scenario, {k: v for k, v in params.items()
-                                                         if k != "gauges"}))
+def _h_gauge_scan(scenario, params, refs):
+    rows = gauge_dependence_scan(refs["path"], refs["gauges"],
+                                 probe=_probe(scenario, params, refs))
     extra = {"rows": [{"gauge": r.gauge_id, "phase": r.phase,
                        "transverse_part": r.transverse_part,
                        "gauge_part": r.gauge_part} for r in rows]}
@@ -508,27 +479,27 @@ def _h_gauge_scan(scenario, params):
     return spread, 0.0, ",".join(params["gauges"]), extra
 
 
-def _h_interaction_energy(scenario, params):
+def _h_interaction_energy(scenario, params, refs):
     sample = VelocitySample(tuple(params["v"]), Point(*params["at"]))
     val = interaction_energy(params["model"], sample, scenario.solenoid,
                              e=params.get("e", 1.0))
     return val, 0.0, params["model"], {}
 
 
-def _h_energy_cancellation(scenario, params):
+def _h_energy_cancellation(scenario, params, refs):
     sample = VelocitySample(tuple(params["v"]), Point(*params["at"]))
     val = energy_cancellation(sample, scenario.solenoid, e=params.get("e", 1.0))
     return val, 0.0, "boyer+virtual_photon", {}
 
 
-def _h_landau_compare(scenario, params):
-    loop = LoopSpec(_resolve_path(params["loop"], scenario))
+def _h_landau_compare(scenario, params, refs):
+    loop = LoopSpec(refs["loop"])
     e = params.get("e", 1.0)
     phases = {}
-    for fid in ("landau.S", "landau.L1", "landau.L2"):
+    for variant in ("S", "L1", "L2"):
         probe = PhaseProbe(solenoid=scenario.solenoid, e=e,
-                           base_field=resolve_field(fid, scenario))
-        phases[fid] = loop_phase(probe, loop).phase
+                           base_field=LandauField(variant, scenario.landau_b))
+        phases[f"landau.{variant}"] = loop_phase(probe, loop).phase
     vals = list(phases.values())
     spread = max(vals) - min(vals)
     return spread, 0.0, "landau.S,landau.L1,landau.L2", {"loop_phases": phases}
@@ -548,39 +519,36 @@ def _max_abs(values) -> float:
     return float(np.max(np.abs(values), initial=0.0))
 
 
-def _h_curl_scan(scenario, params):
-    f = resolve_field(params["field"], scenario)
+def _h_curl_scan(scenario, params, refs):
+    f = refs["field"]
     cfg = DiffConfig(h=params.get("h", 1e-4), order=params.get("order", 4))
     target = np.asarray(params.get("target", (0.0, 0.0, 0.0)), dtype=float)
     curl = numeric_curl(f, _scan_points(scenario, params, f.branch_cut), cfg)
     return _max_abs(curl - target), 0.0, params["field"], {}
 
 
-def _h_div_scan(scenario, params):
-    f = resolve_field(params["field"], scenario)
+def _h_div_scan(scenario, params, refs):
+    f = refs["field"]
     cfg = DiffConfig(h=params.get("h", 1e-4), order=params.get("order", 4))
     div = numeric_divergence(f, _scan_points(scenario, params, f.branch_cut), cfg)
     return _max_abs(div), 0.0, params["field"], {}
 
 
-def _h_field_max_abs(scenario, params):
-    f = resolve_field(params["field"], scenario)
+def _h_field_max_abs(scenario, params, refs):
+    f = refs["field"]
     return _max_abs(f(_scan_points(scenario, params, f.branch_cut))), 0.0, params["field"], {}
 
 
-def _h_gauge_link_residual(scenario, params):
-    fa = resolve_field(params["field_a"], scenario)
-    fb = resolve_field(params["field_b"], scenario)
-    gauge = resolve_gauge(params["gauge"], scenario)
+def _h_gauge_link_residual(scenario, params, refs):
+    fa, fb = refs["field_a"], refs["field_b"]
     pts = _scan_points(scenario, params, fa.branch_cut or fb.branch_cut)
-    resid = fa(pts) - fb(pts) - gauge_gradient(gauge, pts)
+    resid = fa(pts) - fb(pts) - gauge_gradient(refs["gauge"], pts)
     return _max_abs(resid), 0.0, f"{params['field_a']}={params['field_b']}+grad", {}
 
 
-def _h_field_map(scenario, params):
-    f = resolve_field(params["field"], scenario)
+def _h_field_map(scenario, params, refs):
     out = Path(params["out"])
-    emit_field_map(f, params.get("window", (-3.0, 3.0, -3.0, 3.0)),
+    emit_field_map(refs["field"], params.get("window", (-3.0, 3.0, -3.0, 3.0)),
                    params.get("resolution", 24), out,
                    solenoid=scenario.solenoid if params["field"].startswith("solenoid")
                    else None)
@@ -643,7 +611,10 @@ def _run_one(scenario: Scenario, op: OpRequest) -> OpReport:
     expected = op.expect.value if op.expect else None
     tol = op.expect.tol if op.expect else None
     try:
-        value, err, target, extra = handler(scenario, op.params)
+        value, err, target, extra = handler(scenario, op.params, op.refs)
+        where = _non_finite_at({"value": value, "error_estimate": err, "extra": extra})
+        if where is not None:
+            raise NonFinite(f"the result is not finite at {where}")
     except (ComputationError, ValueError, OSError) as exc:
         return OpReport(index=op.index, op=op.op, target="", value=None,
                         error_estimate=None, expected=expected, tol=tol,

@@ -10,6 +10,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -111,3 +112,6 @@ def test_every_run_ends_in_an_exit_code_and_a_record(raw):
         assert code in (0, 1, 2, 3)
         assert (code == 2) == (not parsed)
         assert (Path(tmp) / "out" / "prop.json").exists() == parsed
+        if parsed:  # a record holds no NaN or Infinity token
+            json.loads((Path(tmp) / "out" / "prop.json").read_text(),
+                       parse_constant=lambda token: pytest.fail(f"{token} in the record"))

@@ -117,30 +117,6 @@ class TestPathSpec:
         assert np.allclose(rev.start, path.end)
         assert np.allclose(rev.end, path.start)
 
-    def test_sampled_continuity_check(self):
-        assert PathSpec.circle((0, 0, 0), 1.0).check_sampled_continuity()
-
-        def jumpy(t):
-            return np.array([0.0 if t < 0.5 else 5.0, 1.0, 0.0])
-
-        assert not PathSpec.parametric(jumpy).check_sampled_continuity()
-
-    def test_uneven_polyline_passes_continuity(self):
-        verts = [(2.0, 0.1 * k, 0.0) for k in range(11)] + [(-40.0, 1.1, 0.0)]
-        assert PathSpec.polyline(verts).check_sampled_continuity()
-        assert PathSpec.polyline(verts).reverse().check_sampled_continuity()
-
-    def test_concat_checks_its_parametric_pieces(self):
-        def jumpy(t):
-            return np.array([2.0, 1.0 if t < 0.5 else 1.5, 0.0])
-
-        piece = PathSpec.parametric(jumpy)
-        tail = PathSpec.segment(piece.end, (-40.0, 1.5, 0.0))
-        assert not PathSpec.concat(piece, tail).check_sampled_continuity()
-        smooth = PathSpec.arc((0, 0, 0), 2.0, 0.0, 0.5)
-        long_tail = PathSpec.segment(smooth.end, (-40.0, 1.0, 0.0))
-        assert PathSpec.concat(smooth, long_tail).check_sampled_continuity()
-
     def test_numeric_velocity_fallback(self):
         path = PathSpec.parametric(
             lambda t: np.array([math.cos(t), math.sin(t), t]))
@@ -267,6 +243,17 @@ class TestPathsThroughTheAxis:
         with pytest.raises(AxisCrossing):
             azimuth_change(path)
 
+    def test_parametric_crossing_between_samples(self):
+        # No sample count of the form 4096 * 2**k lands on t = 0.5, where
+        # the path crosses the axis; the chord between two samples does.
+        path = PathSpec.parametric(lambda t: np.array([2 * t - 1, 0.0, 0.0]))
+        with pytest.raises(AxisCrossing):
+            azimuth_change(path)
+
+    def test_parametric_circle_around_the_axis_passes(self):
+        path = PathSpec.parametric(lambda t: np.array([math.cos(6 * t), math.sin(6 * t), 0.0]))
+        assert azimuth_change(path) == pytest.approx(6.0, abs=1e-12)
+
 
 def _seeded_azimuth_cases():
     """Arcs and polygons at least 1e-3 from the axis, every other one reversed."""
@@ -358,6 +345,32 @@ class TestArrayContract:
             assert path.points(np.array([])).shape == (0, 3)
 
 
+class TestConstructorsCheckTheirData:
+    """An arc or polyline whose data cannot give finite points is refused when built."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: PathSpec.polyline([(1e308, 0, 0), (-1e308, 0, 0)]),
+        lambda: PathSpec.polyline([(1, 0, 0), (2, 0, 0), (2, math.inf, 0)]),
+        lambda: PathSpec.segment((1, 0, 0), (math.nan, 1, 0)),
+        lambda: PathSpec.arc((1e308, 0, 0), 1e308, 0.0, 1.0),
+        lambda: PathSpec.arc((0, 0, 0), 1.0, -1e308, 1e308),
+        lambda: PathSpec.arc((0, 0, math.nan), 1.0, 0.0, 1.0),
+        lambda: PathSpec.arc((0, 0, 0), math.nan, 0.0, 1.0),
+        lambda: PathSpec.circle((0, 0, 0), 1.0, start_phase=math.inf),
+    ], ids=["polyline-step-overflows", "polyline-inf-vertex", "segment-nan-vertex",
+            "arc-center-plus-radius-overflows", "arc-sweep-overflows", "arc-nan-z",
+            "arc-nan-radius", "circle-inf-phase"])
+    def test_overflowing_or_non_finite_data(self, build):
+        with pytest.raises(NonFinite):
+            build()
+
+    def test_large_finite_data_is_kept(self):
+        arc = PathSpec.arc((1e307, 0, 0), 1e307, 0.0, 1.0)
+        assert np.isfinite(arc.sample(9)).all()
+        line = PathSpec.polyline([(1e307, 0, 0), (-1e307, 0, 0)])
+        assert np.isfinite(line.sample(9)).all()
+
+
 class TestNonFiniteSamples:
     def test_azimuth_stops_at_a_nan_point(self):
         path = PathSpec.parametric(lambda t: np.array([1.0, math.nan if t > 0.5 else t, 0.0]))
@@ -365,7 +378,3 @@ class TestNonFiniteSamples:
             azimuth_change(path)
         with pytest.raises(NonFinite):
             winding_number(LoopSpec(PathSpec.concat(path, PathSpec.segment(path.end, path.start))))
-
-    def test_infinite_sample_fails_continuity(self):
-        path = PathSpec.parametric(lambda t: np.array([1.0, math.inf if t > 0.9 else t, 0.0]))
-        assert not path.check_sampled_continuity()

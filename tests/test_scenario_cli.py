@@ -4,17 +4,20 @@ import re
 import xml.etree.ElementTree as ET
 from importlib import resources
 
+import jsonschema
 import numpy as np
 import pytest
 
 from abgauge import (DiscSpec, LandauField, Point, SolenoidBField, SolenoidSpec,
                      SolenoidTransverseField, TransformedPotentialField, disc_flux)
+from abgauge import scenario as scenario_module
 from abgauge.calculus import _polar_flux_level
 from abgauge.cli import main
 from abgauge.errors import ParseError
-from abgauge.scenario import (exit_code, load_scenario, record_csv, record_json,
-                              run_scenario, scenario_from_dict, sidecar_json,
-                              write_outputs)
+from abgauge.geometry import PathSpec
+from abgauge.scenario import (exit_code, load_scenario, load_schema, record_csv,
+                              record_json, run_scenario, scenario_from_dict,
+                              sidecar_json, write_outputs)
 from abgauge.svgmap import emit_field_map
 
 BUNDLED = ["loop_flux", "string_circulation", "singular_gauge_expulsion",
@@ -25,6 +28,10 @@ BUNDLED = ["loop_flux", "string_circulation", "singular_gauge_expulsion",
 
 def bundled_path(name: str) -> str:
     return str(resources.files("abgauge").joinpath(f"scenarios/{name}.json"))
+
+
+def reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
 
 
 def minimal_scenario(**overrides) -> dict:
@@ -65,6 +72,10 @@ class TestScenarioIngestion:
         raw["operations"][0]["path"] = "nope"
         with pytest.raises(ParseError):
             scenario_from_dict(raw)
+
+    def test_schema_passes_its_meta_schema(self):
+        schema = load_schema()
+        jsonschema.validators.validator_for(schema).check_schema(schema)
 
     def test_schema_violation_rejected(self):
         raw = minimal_scenario()
@@ -184,7 +195,7 @@ class TestScenarioExecution:
             operations=[{"op": "disc_flux", "field": "solenoid.B", "disc": "d", "tol": 1e-3}])
         rep = run_scenario(scenario_from_dict(raw)).reports[0]
         b, disc = SolenoidBField(SolenoidSpec(1.0, 1.0)), DiscSpec(Point(0.5, 0, 0), 1.0)
-        levels = [_polar_flux_level(b, disc, [0.0, 1.0], k, 10, 10) for k in range(4)]
+        levels = [_polar_flux_level(b, disc, [0.0, 1.0], k) for k in range(4)]
         assert abs(levels[2] - levels[1]) >= 1e-3 > abs(levels[3] - levels[2])
         assert rep.value == levels[3]
         assert rep.error_estimate == abs(levels[3] - levels[2]) > 0.0
@@ -194,10 +205,7 @@ class TestScenarioExecution:
         raw = minimal_scenario(quadrature={"half_lengths": [8.0]},
                                operations=[{"op": "numeric_potential", "at": [2, 0, 0]}])
         text = record_json(run_scenario(scenario_from_dict(raw)))
-
-        def reject(token):
-            raise ValueError(f"{token} is not JSON")
-        report = json.loads(text, parse_constant=reject)["reports"][0]
+        report = json.loads(text, parse_constant=reject_constant)["reports"][0]
         assert report["error"] is None
         assert report["error_estimate"] is None
 
@@ -228,6 +236,79 @@ class TestScenarioExecution:
         sc = load_scenario(bundled_path("loop_flux"))
         record = run_scenario(sc)
         assert [r.index for r in record.reports] == list(range(len(sc.operations)))
+
+
+class TestReferencesBuiltOnce:
+    """Each field, gauge, path and disc an operation names is built once, at parse."""
+
+    def test_a_run_builds_no_reference(self, monkeypatch):
+        scenarios = [load_scenario(bundled_path(name)) for name in BUNDLED]
+        before = [(record_json(r), record_csv(r)) for r in map(run_scenario, scenarios)]
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("a reference was built at run time")
+        for name in ("resolve_field", "resolve_gauge", "_build_path", "_build_disc"):
+            monkeypatch.setattr(scenario_module, name, refuse)
+        after = [(record_json(r), record_csv(r)) for r in map(run_scenario, scenarios)]
+        assert after == before
+
+    def test_refs_hold_the_built_paths_and_discs(self):
+        inline = {"kind": "segment", "from": [2, 0, 0], "to": [0, 2, 0]}
+        raw = minimal_scenario(
+            discs={"d": {"center": [0, 0, 0], "radius": 2.0}},
+            operations=[
+                {"op": "interference_shift", "path1": "c2", "path2": inline},
+                {"op": "disc_flux", "field": "solenoid.B", "disc": "d"},
+                {"op": "disc_flux", "field": "solenoid.B",
+                 "disc": {"center": [0, 0, 1], "radius": 0.5}},
+                {"op": "winding_number", "loop": "c2"}])
+        scenarios = [scenario_from_dict(raw)] + [load_scenario(bundled_path(n)) for n in BUNDLED]
+        seen = 0
+        for sc in scenarios:
+            for op in sc.operations:
+                for key in ("path", "path1", "path2", "loop", "disc"):
+                    if key not in op.params:
+                        continue
+                    seen += 1
+                    built = op.refs[key]
+                    assert isinstance(built, DiscSpec if key == "disc" else PathSpec)
+                    name = op.params[key]
+                    if isinstance(name, str):
+                        assert built is (sc.discs if key == "disc" else sc.paths)[name]
+        assert seen >= 5
+
+    def test_refs_hold_fields_and_gauges(self):
+        raw = minimal_scenario(operations=[
+            {"op": "gauge_scan", "path": "c2", "gauges": ["none", "gauge.chi1"],
+             "base": "solenoid.AS"},
+            {"op": "gauge_link_residual", "field_a": "solenoid.Aprime",
+             "field_b": "solenoid.AS", "gauge": "gauge.sing"}])
+        scan, link = scenario_from_dict(raw).operations
+        assert scan.refs["gauges"][0] is None and len(scan.refs["gauges"]) == 2
+        assert isinstance(scan.refs["base"], SolenoidTransverseField)
+        assert isinstance(link.refs["field_a"], TransformedPotentialField)
+        assert set(link.refs) == {"field_a", "field_b", "gauge"}
+
+    def test_inline_path_with_overflowing_data_exits_2(self, tmp_path, capsys):
+        line = {"kind": "polyline", "points": [[1e308, 0, 0], [-1e308, 0, 0]]}
+        raw = minimal_scenario(operations=[{"op": "open_phase", "path": line}])
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps(raw))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert "operations.0.path" in capsys.readouterr().err
+
+    def test_non_finite_result_is_a_numerical_error(self, tmp_path):
+        raw = {"name": "huge", "solenoid": {"B": 1000.0}, "operations": [
+            {"op": "interaction_energy", "model": "boyer", "v": [0.5, 0, 0], "at": [0, 2, 0],
+             "e": 1e308},
+            {"op": "energy_cancellation", "v": [0.5, 0, 0], "at": [0, 2, 0], "e": 1e308}]}
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(raw))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 3
+        text = (tmp_path / "out" / "huge.json").read_text()
+        reports = json.loads(text, parse_constant=reject_constant)["reports"]
+        assert [r["error"] for r in reports] == ["NonFinite: the result is not finite at value"] * 2
+        assert [r["value"] for r in reports] == [None, None]
 
 
 class TestDeterminism:
