@@ -7,7 +7,7 @@ and a scenario runner that verifies the quantitative identities among them.
 
 from .analytic_fields import (BawinBurnelGauge, CallableField, FieldExpr,
                               GaugeGradientField, LandauField, PolynomialGauge,
-                              ScaledField, SingularSolenoidGauge, SolenoidBField,
+                              SingularSolenoidGauge, SolenoidBField,
                               SolenoidSpec, SolenoidTransverseField, StringCurrent,
                               StringField, SumField, SurfaceCurrent,
                               TransformedPotentialField, gauge_gradient,

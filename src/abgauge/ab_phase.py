@@ -4,8 +4,11 @@ The phase along a path is the charge times the work integral of the vector
 potential, in natural units with no extra factor.  Every report splits the
 phase into the transverse part (the current-sourced potential alone) and
 the gauge part (endpoint difference of the gauge function, branch tracked
-for multi-valued gauges); the two routes are computed independently and
-must recombine to the total.
+for multi-valued gauges).  One routine, ``_phases``, makes that split for
+every phase operation: it integrates the transverse potential once per
+path, and for each gauge integrates the full potential once and takes the
+gauge function's endpoint difference; the two routes must recombine to
+the total.
 
 Also houses the two closed-form interaction-energy models for a charge at
 constant velocity and their exact cancellation.
@@ -25,7 +28,8 @@ from .analytic_fields import (FieldExpr, GaugeChoice, GaugeGradientField,
                               solenoid_transverse_potential)
 from .calculus import line_integral
 from .errors import ComputationError, EndpointMismatch
-from .geometry import LoopSpec, PathSpec, Point, endpoint_azimuths, winding_number
+from .geometry import (LoopSpec, PathSpec, Point, endpoint_azimuths, same_point,
+                       winding_number)
 
 PHASE_TOL = 1e-12
 
@@ -52,12 +56,6 @@ class PhaseProbe:
         if self.base_field is not None:
             return self.base_field
         return SolenoidTransverseField(self.solenoid)
-
-    def total_field(self) -> FieldExpr:
-        base = self.transverse_field()
-        if self.gauge is None:
-            return base
-        return base + GaugeGradientField(self.gauge)
 
 
 @dataclass(frozen=True)
@@ -108,27 +106,43 @@ def _gauge_endpoint_difference(gauge: GaugeChoice, path: PathSpec) -> float:
     return gauge_value(gauge, end) - gauge_value(gauge, start)
 
 
+def _phases(probe: PhaseProbe, path: PathSpec,
+            gauges: Sequence[Optional[GaugeChoice]], tol: float) -> list:
+    """One PhaseReport per gauge over one path; probe.gauge is not read.
+
+    The transverse potential is integrated once for all gauges.  Each gauge
+    that is not None adds one integral of the full potential, and its gauge
+    part is the endpoint difference of the gauge function.
+    """
+    base = probe.transverse_field()
+    e = probe.e
+    rep_t = line_integral(base, path, tol=tol)
+    transverse = e * rep_t.value
+    reports = []
+    for g in gauges:
+        if g is None:
+            reports.append(PhaseReport(phase=transverse, transverse_part=transverse,
+                                       gauge_part=0.0,
+                                       error_estimate=abs(e) * rep_t.error_estimate))
+            continue
+        rep_total = line_integral(base + GaugeGradientField(g), path, tol=tol)
+        singular = bool(g.multi_valued)
+        notes = ("multi-valued gauge: endpoint values taken on the branch "
+                 "continued along the path",) if singular else ()
+        reports.append(PhaseReport(phase=e * rep_total.value,
+                                   transverse_part=transverse,
+                                   gauge_part=e * _gauge_endpoint_difference(g, path),
+                                   error_estimate=abs(e) * (rep_t.error_estimate
+                                                            + rep_total.error_estimate),
+                                   singular_gauge=singular,
+                                   notes=notes))
+    return reports
+
+
 def open_path_phase(probe: PhaseProbe, path: PathSpec,
                     tol: float = PHASE_TOL) -> PhaseReport:
     """Phase along an open path, split into transverse and gauge parts."""
-    rep_t = line_integral(probe.transverse_field(), path, tol=tol)
-    transverse = probe.e * rep_t.value
-    if probe.gauge is None:
-        return PhaseReport(phase=transverse, transverse_part=transverse,
-                           gauge_part=0.0,
-                           error_estimate=abs(probe.e) * rep_t.error_estimate)
-    rep_total = line_integral(probe.total_field(), path, tol=tol)
-    gauge_part = probe.e * _gauge_endpoint_difference(probe.gauge, path)
-    singular = bool(probe.gauge.multi_valued)
-    notes = ("multi-valued gauge: endpoint values taken on the branch "
-             "continued along the path",) if singular else ()
-    return PhaseReport(phase=probe.e * rep_total.value,
-                       transverse_part=transverse,
-                       gauge_part=gauge_part,
-                       error_estimate=abs(probe.e) * (rep_t.error_estimate
-                                                      + rep_total.error_estimate),
-                       singular_gauge=singular,
-                       notes=notes)
+    return _phases(probe, path, (probe.gauge,), tol)[0]
 
 
 def loop_phase(probe: PhaseProbe, loop: LoopSpec,
@@ -141,20 +155,9 @@ def loop_phase(probe: PhaseProbe, loop: LoopSpec,
     winding and the exterior loop phase vanishes: that gauge moves the
     enclosed flux into the axis string, so the report is flagged.
     """
-    rep_total = line_integral(probe.total_field(), loop.path, tol=tol)
-    err = abs(probe.e) * rep_total.error_estimate
-    if probe.gauge is None:
-        transverse = probe.e * rep_total.value
-        gauge_part = 0.0
-        singular = False
-    else:
-        rep_t = line_integral(probe.transverse_field(), loop.path, tol=tol)
-        transverse = probe.e * rep_t.value
-        gauge_part = probe.e * _gauge_endpoint_difference(probe.gauge, loop.path)
-        err += abs(probe.e) * rep_t.error_estimate
-        singular = bool(probe.gauge.multi_valued)
+    rep = _phases(probe, loop.path, (probe.gauge,), tol)[0]
     notes = []
-    if singular:
+    if rep.singular_gauge:
         notes.append("singular gauge: the loop integral excludes the axis string, "
                      "so the net enclosed flux it sees is zero")
     try:
@@ -162,13 +165,7 @@ def loop_phase(probe: PhaseProbe, loop: LoopSpec,
     except ComputationError as exc:
         w = None
         notes.append(f"winding undefined: {type(exc).__name__}: {exc}")
-    return PhaseReport(phase=probe.e * rep_total.value,
-                       transverse_part=transverse,
-                       gauge_part=gauge_part,
-                       error_estimate=err,
-                       winding=w,
-                       singular_gauge=singular,
-                       notes=tuple(notes))
+    return replace(rep, winding=w, notes=tuple(notes))
 
 
 def interference_shift(probe: PhaseProbe, c1: PathSpec, c2: PathSpec,
@@ -178,8 +175,7 @@ def interference_shift(probe: PhaseProbe, c1: PathSpec, c2: PathSpec,
     Equals the loop phase around the first arm followed by the reversed
     second arm; single-valued gauge parts cancel between the arms.
     """
-    if (np.max(np.abs(c1.start - c2.start)) > 1e-12
-            or np.max(np.abs(c1.end - c2.end)) > 1e-12):
+    if not (same_point(c1.start, c2.start) and same_point(c1.end, c2.end)):
         raise EndpointMismatch("interference arms must share both endpoints")
     r1 = open_path_phase(probe, c1, tol=tol)
     r2 = open_path_phase(probe, c2, tol=tol)
@@ -203,37 +199,27 @@ def gauge_dependence_scan(path: PathSpec, gauges: Sequence[Optional[GaugeChoice]
                           tol: float = PHASE_TOL) -> tuple:
     """Open-path phase for each gauge choice over the same path.
 
-    Returns one row per gauge.  The transverse part is identical across
-    rows and pairwise phase differences equal the charge times the endpoint
-    difference of the gauge-function difference; both facts are verified
-    before returning.
+    Returns one row per gauge; the transverse part, integrated once, is the
+    same number in every row.  Pairwise phase differences must equal the
+    charge times the endpoint difference of the gauge-function difference,
+    taken from the gauge functions themselves; that is verified before
+    returning.
     """
     if path.is_closed:
         raise ValueError("gauge dependence scan expects an open path")
-    rows = []
-    endpoint_diffs = []
-    for g in gauges:
-        rep = open_path_phase(replace(probe, gauge=g), path, tol=tol)
-        rows.append(GaugeScanRow(gauge_id=gauge_label(g), phase=rep.phase,
-                                 transverse_part=rep.transverse_part,
-                                 gauge_part=rep.gauge_part))
-        endpoint_diffs.append(0.0 if g is None
-                              else _gauge_endpoint_difference(g, path))
-
-    tps = [r.transverse_part for r in rows]
-    spread = max(tps) - min(tps)
-    if not spread < 1e-10:
-        raise ComputationError(
-            f"transverse parts must agree across gauges; spread {spread:.3e}")
+    rows = tuple(GaugeScanRow(gauge_id=gauge_label(g), phase=r.phase,
+                              transverse_part=r.transverse_part, gauge_part=r.gauge_part)
+                 for g, r in zip(gauges, _phases(probe, path, gauges, tol)))
+    shifts = [0.0 if g is None else _gauge_endpoint_difference(g, path) for g in gauges]
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
-            expected = probe.e * (endpoint_diffs[i] - endpoint_diffs[j])
+            expected = probe.e * (shifts[i] - shifts[j])
             miss = abs((rows[i].phase - rows[j].phase) - expected)
             if not miss < 1e-8:
                 raise ComputationError(
                     f"phase difference of gauges {rows[i].gauge_id} and "
                     f"{rows[j].gauge_id} misses their endpoint shift by {miss:.3e}")
-    return tuple(rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -311,14 +311,6 @@ class FieldExpr:
     def __add__(self, other: "FieldExpr") -> "FieldExpr":
         return SumField((self, other))
 
-    def __neg__(self) -> "FieldExpr":
-        return ScaledField(self, -1.0)
-
-    def __mul__(self, factor: float) -> "FieldExpr":
-        return ScaledField(self, float(factor))
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True)
 class SolenoidTransverseField(FieldExpr):
@@ -419,30 +411,6 @@ class SumField(FieldExpr):
 
     def domain_ok(self, p, margin: float = 0.0) -> np.ndarray:
         return np.logical_and.reduce([t.domain_ok(p, margin) for t in self.terms])
-
-
-@dataclass(frozen=True)
-class ScaledField(FieldExpr):
-    base: FieldExpr = None
-    factor: float = 1.0
-
-    @property
-    def excludes_axis(self) -> bool:  # type: ignore[override]
-        return self.base.excludes_axis
-
-    @property
-    def branch_cut(self) -> bool:  # type: ignore[override]
-        return self.base.branch_cut
-
-    @property
-    def radial_breakpoints(self) -> tuple:
-        return self.base.radial_breakpoints
-
-    def __call__(self, p) -> np.ndarray:
-        return self.factor * self.base(p)
-
-    def domain_ok(self, p, margin: float = 0.0) -> np.ndarray:
-        return self.base.domain_ok(p, margin)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ Paths are evaluated on arrays: ``PathSpec.points(ts)`` and
 ``PathSpec.velocities(ts)`` take an (N,) array of parameters in [0, 1] and
 return (N, 3); ``point_at``/``velocity_at`` are the one-row case.  All
 values are immutable after construction and safe to share between threads.
-Arcs and polylines check their data at construction (``NonFinite`` when
-it cannot give finite points).  ``azimuth_change`` is exact for arcs and
+Arcs, polylines and discs check their data at construction (``NonFinite``
+when it cannot give finite points).  Endpoints are compared by
+``same_point``, within ``CLOSURE_TOL`` scaled by their size beyond 1, so
+large loops close despite rounding.  ``azimuth_change`` is exact for arcs and
 polylines: a polyline sums the branch-nearest steps between its vertices
 and an arc takes a closed form.  Only parametric paths are sampled,
 doubling the samples through ``extrapolation.refine``.  Axis crossings are
@@ -44,6 +46,12 @@ def as_points(p) -> np.ndarray:
     if arr.shape[-1:] != (3,):
         raise ValueError(f"expected 3-vectors, got shape {arr.shape}")
     return arr
+
+
+def same_point(p, q) -> bool:
+    """Whether two points agree within CLOSURE_TOL times max(1, the larger max-norm)."""
+    p, q = as_points(p), as_points(q)
+    return bool(np.abs(p - q).max() <= CLOSURE_TOL * max(1.0, np.abs(p).max(), np.abs(q).max()))
 
 
 def as_xyz(point) -> np.ndarray:
@@ -164,7 +172,7 @@ class PathSpec:
         if len(paths) < 2:
             raise ValueError("concat needs at least two paths")
         for a, b in zip(paths, paths[1:]):
-            if np.max(np.abs(a.end - b.start)) > CLOSURE_TOL:
+            if not same_point(a.end, b.start):
                 raise ValueError("concatenated paths do not join at endpoints")
         return cls(kind="concat", children=tuple(paths))
 
@@ -252,7 +260,7 @@ class PathSpec:
 
     @property
     def is_closed(self) -> bool:
-        return bool(np.max(np.abs(self.start - self.end)) <= CLOSURE_TOL)
+        return same_point(self.start, self.end)
 
     def sample(self, n: int) -> np.ndarray:
         """n points along the path at uniform parameter values.
@@ -349,8 +357,8 @@ class LoopSpec:
     path: PathSpec
 
     def __post_init__(self):
-        gap = float(np.max(np.abs(self.path.start - self.path.end)))
-        if gap > CLOSURE_TOL:
+        if not same_point(self.path.start, self.path.end):
+            gap = float(np.max(np.abs(self.path.start - self.path.end)))
             raise NotClosed(f"loop endpoints differ by {gap:.3e}")
 
     @classmethod
@@ -381,6 +389,11 @@ class DiscSpec:
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("disc radius must be positive")
+        c = self.center
+        # As for arcs: points lie within |c_xy| + r of the axis, at height c_z.
+        if not (math.isfinite(c.z) and math.isfinite(math.hypot(c.x, c.y) + self.radius)):
+            raise NonFinite(f"disc data do not give finite points: center "
+                            f"{(c.x, c.y, c.z)}, radius {self.radius}")
         n = np.asarray(self.normal, dtype=float)
         if abs(np.linalg.norm(n) - 1.0) > 1e-12:
             raise ValueError("disc normal must be a unit vector")

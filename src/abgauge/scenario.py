@@ -25,9 +25,10 @@ import jsonschema
 import numpy as np
 
 from . import __version__
-from .ab_phase import (PhaseProbe, VelocitySample, energy_cancellation,
-                       gauge_dependence_scan, interaction_energy,
-                       interference_shift, loop_phase, open_path_phase)
+from .ab_phase import (PHASE_TOL, PhaseProbe, VelocitySample, _phases,
+                       energy_cancellation, gauge_dependence_scan,
+                       interaction_energy, interference_shift, loop_phase,
+                       open_path_phase)
 from .analytic_fields import (BawinBurnelGauge, GaugeGradientField, LandauField,
                               PolynomialGauge, SingularSolenoidGauge,
                               SolenoidBField, SolenoidSpec,
@@ -365,8 +366,8 @@ def _op_rng(scenario: Scenario, params: dict):
     return random.Random(params.get("seed", scenario.seed))
 
 
-def _probe(scenario: Scenario, params: dict, refs: dict, gauge: str = "gauge") -> PhaseProbe:
-    return PhaseProbe(solenoid=scenario.solenoid, gauge=refs.get(gauge),
+def _probe(scenario: Scenario, params: dict, refs: dict) -> PhaseProbe:
+    return PhaseProbe(solenoid=scenario.solenoid, gauge=refs.get("gauge"),
                       e=params.get("e", 1.0), base_field=refs.get("base"))
 
 
@@ -439,7 +440,7 @@ def _h_helmholtz_classify(scenario, params, refs):
 
 def _h_open_phase(scenario, params, refs):
     rep = open_path_phase(_probe(scenario, params, refs), refs["path"],
-                          tol=params.get("tol", 1e-12))
+                          tol=params.get("tol", PHASE_TOL))
     extra = {"transverse_part": rep.transverse_part, "gauge_part": rep.gauge_part,
              "singular_gauge": rep.singular_gauge}
     return rep.phase, rep.error_estimate, params.get("gauge", "none"), extra
@@ -447,7 +448,7 @@ def _h_open_phase(scenario, params, refs):
 
 def _h_loop_phase(scenario, params, refs):
     rep = loop_phase(_probe(scenario, params, refs), LoopSpec(refs["loop"]),
-                     tol=params.get("tol", 1e-12))
+                     tol=params.get("tol", PHASE_TOL))
     extra = {"transverse_part": rep.transverse_part, "gauge_part": rep.gauge_part,
              "winding": rep.winding, "singular_gauge": rep.singular_gauge,
              "notes": list(rep.notes)}
@@ -456,13 +457,13 @@ def _h_loop_phase(scenario, params, refs):
 
 def _h_interference_shift(scenario, params, refs):
     rep = interference_shift(_probe(scenario, params, refs), refs["path1"], refs["path2"],
-                             tol=params.get("tol", 1e-12))
+                             tol=params.get("tol", PHASE_TOL))
     return rep.phase, rep.error_estimate, params.get("gauge", "none"), {}
 
 
 def _h_phase_shift(scenario, params, refs):
-    pa = open_path_phase(_probe(scenario, params, refs, "gauge_a"), refs["path"])
-    pb = open_path_phase(_probe(scenario, params, refs, "gauge_b"), refs["path"])
+    pa, pb = _phases(_probe(scenario, params, refs), refs["path"],
+                     (refs["gauge_a"], refs["gauge_b"]), params.get("tol", PHASE_TOL))
     extra = {"phase_a": pa.phase, "phase_b": pb.phase,
              "transverse_spread": abs(pa.transverse_part - pb.transverse_part)}
     return pa.phase - pb.phase, pa.error_estimate + pb.error_estimate, \
@@ -471,7 +472,8 @@ def _h_phase_shift(scenario, params, refs):
 
 def _h_gauge_scan(scenario, params, refs):
     rows = gauge_dependence_scan(refs["path"], refs["gauges"],
-                                 probe=_probe(scenario, params, refs))
+                                 probe=_probe(scenario, params, refs),
+                                 tol=params.get("tol", PHASE_TOL))
     extra = {"rows": [{"gauge": r.gauge_id, "phase": r.phase,
                        "transverse_part": r.transverse_part,
                        "gauge_part": r.gauge_part} for r in rows]}
@@ -495,11 +497,12 @@ def _h_energy_cancellation(scenario, params, refs):
 def _h_landau_compare(scenario, params, refs):
     loop = LoopSpec(refs["loop"])
     e = params.get("e", 1.0)
+    tol = params.get("tol", PHASE_TOL)
     phases = {}
     for variant in ("S", "L1", "L2"):
         probe = PhaseProbe(solenoid=scenario.solenoid, e=e,
                            base_field=LandauField(variant, scenario.landau_b))
-        phases[f"landau.{variant}"] = loop_phase(probe, loop).phase
+        phases[f"landau.{variant}"] = loop_phase(probe, loop, tol=tol).phase
     vals = list(phases.values())
     spread = max(vals) - min(vals)
     return spread, 0.0, "landau.S,landau.L1,landau.L2", {"loop_phases": phases}

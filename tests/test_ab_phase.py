@@ -165,6 +165,13 @@ class TestInterference:
         rep = interference_shift(PhaseProbe(solenoid=S, gauge=g), c1, c2)
         assert rep.gauge_part == pytest.approx(0.0, abs=1e-10)
 
+    def test_large_arms_share_endpoints(self):
+        # Endpoints 3e4 from the origin agree only to rounding relative to that size.
+        upper = PathSpec.arc((0, 0, 0), 3e4, 0.3, 2.0)
+        lower = PathSpec.arc((0, 0, 0), 3e4, 0.3, 2.0 - 2 * PI)
+        rep = interference_shift(PhaseProbe(solenoid=S), upper, lower)
+        assert rep.phase == pytest.approx(S.flux, abs=1e-8)
+
     def test_endpoint_mismatch_rejected(self):
         c1 = PathSpec.segment((2, 0, 0), (3, 0, 0))
         c2 = PathSpec.segment((2, 0, 0), (3, 0.5, 0))
@@ -201,24 +208,39 @@ class TestGaugeScan:
             gauge_dependence_scan(PathSpec.circle((0, 0, 0), 2.0), [None],
                                   PhaseProbe(solenoid=S))
 
-    @pytest.mark.parametrize("shift", ["transverse_part", "gauge_part"])
+    @pytest.mark.parametrize("shift", ["gauge_part"])
     def test_broken_invariants_raise(self, monkeypatch, shift):
-        # A phase routine whose transverse parts (or whose gauge parts)
-        # drift by 1e-6 between gauges must be caught, also under python -O.
-        real = ab_phase.open_path_phase
+        # A phase split whose gauge parts drift by 1e-6 from the gauge
+        # functions' endpoint shifts must be caught, also under python -O.
+        real = ab_phase._phases
 
-        def drifting(probe, path, tol=ab_phase.PHASE_TOL):
-            rep = real(probe, path, tol=tol)
-            if probe.gauge is None:
-                return rep
-            return replace(rep, phase=rep.phase + 1e-6,
-                           **{shift: getattr(rep, shift) + 1e-6})
+        def drifting(probe, path, gauges, tol):
+            return [rep if g is None else
+                    replace(rep, phase=rep.phase + 1e-6, **{shift: getattr(rep, shift) + 1e-6})
+                    for g, rep in zip(gauges, real(probe, path, gauges, tol))]
 
-        monkeypatch.setattr(ab_phase, "open_path_phase", drifting)
+        monkeypatch.setattr(ab_phase, "_phases", drifting)
         path = PathSpec.segment((2, 0, 0), (3, 0, 0))
         with pytest.raises(ComputationError):
             gauge_dependence_scan(path, [None, PolynomialGauge(((1, 0, 0, 1.0),))],
                                   PhaseProbe(solenoid=S))
+
+    def test_transverse_integral_taken_once(self, monkeypatch):
+        # One integral of A_S for the path, one of the full potential per gauge.
+        calls = []
+        real = ab_phase.line_integral
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ab_phase, "line_integral", counting)
+        arc = PathSpec.arc((0, 0, 0), 2.0, 0.0, PI / 4)
+        rows = gauge_dependence_scan(
+            arc, [None, SingularSolenoidGauge(S), PolynomialGauge(((1, 0, 0, 1.0),))],
+            PhaseProbe(solenoid=S))
+        assert len(calls) == 3
+        assert [r.transverse_part for r in rows] == [rows[0].transverse_part] * 3
 
     def test_pairwise_differences_for_random_gauges(self, rng):
         path = PathSpec.polyline([(2, 0, 0), (2.5, 1, 0.5), (1.5, 2, 0)])

@@ -11,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from abgauge.cli import main
@@ -99,6 +99,10 @@ scenario = st.fixed_dictionaries({
 
 
 @given(scenario)
+# A disc whose points overflow is refused at parse, with no numpy warning.
+@example({"name": "prop", "solenoid": {"R": 1.0, "B": 1.0},
+          "operations": [{"op": "disc_flux", "field": "solenoid.B",
+                          "disc": {"center": [1e308, 0.0, 0.0], "radius": 1e308}}]})
 def test_every_run_ends_in_an_exit_code_and_a_record(raw):
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "scenario.json"

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from abgauge import LoopSpec, PathSpec, Point, winding_number
+from abgauge import DiscSpec, LoopSpec, PathSpec, Point, winding_number
 from abgauge.errors import AxisCrossing, NonFinite, NotClosed
-from abgauge.geometry import axis_distance, azimuth_change, endpoint_azimuths
+from abgauge.geometry import axis_distance, azimuth_change, endpoint_azimuths, same_point
 
 
 class TestPoint:
@@ -89,10 +89,33 @@ class TestWinding:
         with pytest.raises(NotClosed):
             LoopSpec(PathSpec.segment((1, 0, 0), (2, 0, 0)))
 
+    @pytest.mark.parametrize("radius, turns", [(2000.0, 3), (1e4, 1)])
+    def test_large_circle_closes(self, radius, turns):
+        # Its endpoints differ by more than 1e-12, by rounding alone.
+        assert winding_number(LoopSpec(PathSpec.circle((0, 0, 0), radius, turns=turns))) == turns
+
     def test_square_loop_winding(self):
         square = PathSpec.polyline([(1, 1, 0), (-1, 1, 0), (-1, -1, 0),
                                     (1, -1, 0), (1, 1, 0)])
         assert winding_number(LoopSpec(square)) == 1
+
+
+class TestSamePoint:
+    """Endpoints agree within CLOSURE_TOL, scaled by their size beyond 1."""
+
+    def test_tolerance_scales_with_size(self):
+        assert same_point((1e4, 0, 0), (1e4, 5e-9, 0))
+        assert not same_point((1e4, 0, 0), (1e4, 2e-8, 0))
+        assert same_point((0.5, 0, 0), (0.5, 1e-12, 0))
+        assert not same_point((0.5, 0, 0), (0.5, 2e-12, 0))
+        assert not same_point((0, 0, 0), (math.nan, 0, 0))
+
+    def test_large_arcs_join(self):
+        upper = PathSpec.arc((0, 0, 0), 3e4, 0.3, 2.0)
+        lower = PathSpec.arc((0, 0, 0), 3e4, 0.3, 2.0 - 2 * math.pi)
+        loop = PathSpec.concat(upper, lower.reverse())
+        assert loop.is_closed
+        assert winding_number(LoopSpec(loop)) == 1
 
 
 class TestPathSpec:
@@ -346,7 +369,7 @@ class TestArrayContract:
 
 
 class TestConstructorsCheckTheirData:
-    """An arc or polyline whose data cannot give finite points is refused when built."""
+    """An arc, polyline or disc whose data cannot give finite points is refused when built."""
 
     @pytest.mark.parametrize("build", [
         lambda: PathSpec.polyline([(1e308, 0, 0), (-1e308, 0, 0)]),
@@ -357,9 +380,13 @@ class TestConstructorsCheckTheirData:
         lambda: PathSpec.arc((0, 0, math.nan), 1.0, 0.0, 1.0),
         lambda: PathSpec.arc((0, 0, 0), math.nan, 0.0, 1.0),
         lambda: PathSpec.circle((0, 0, 0), 1.0, start_phase=math.inf),
+        lambda: DiscSpec(Point(1e308, 0, 0), 1e308),
+        lambda: DiscSpec(Point(0, 0, math.inf), 1.0),
+        lambda: DiscSpec(Point(0, 0, 0), math.nan),
     ], ids=["polyline-step-overflows", "polyline-inf-vertex", "segment-nan-vertex",
             "arc-center-plus-radius-overflows", "arc-sweep-overflows", "arc-nan-z",
-            "arc-nan-radius", "circle-inf-phase"])
+            "arc-nan-radius", "circle-inf-phase", "disc-center-plus-radius-overflows",
+            "disc-inf-z", "disc-nan-radius"])
     def test_overflowing_or_non_finite_data(self, build):
         with pytest.raises(NonFinite):
             build()
@@ -369,6 +396,7 @@ class TestConstructorsCheckTheirData:
         assert np.isfinite(arc.sample(9)).all()
         line = PathSpec.polyline([(1e307, 0, 0), (-1e307, 0, 0)])
         assert np.isfinite(line.sample(9)).all()
+        assert DiscSpec(Point(1e307, 0, 0), 1e307).radius == 1e307
 
 
 class TestNonFiniteSamples:

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from abgauge import (BawinBurnelGauge, DiffConfig, DiscSpec, GaugeGradientField,
-                     LandauField, PathSpec, Point, SingularSolenoidGauge,
+from abgauge import (BawinBurnelGauge, CallableField, DiffConfig, DiscSpec,
+                     GaugeGradientField, LandauField, PathSpec, Point,
+                     SingularSolenoidGauge,
                      SolenoidBField, SolenoidSpec, SolenoidTransverseField,
                      disc_flux, landau_link1, landau_link2,
                      line_integral, numeric_curl, solenoid_transverse_potential)
@@ -54,7 +55,8 @@ class TestLineIntegralAlgebra:
     def test_scaling(self, c, radius):
         path = PathSpec.circle((0, 0, 0), radius)
         base = line_integral(AS, path, tol=1e-11).value
-        scaled = line_integral(c * AS, path, tol=1e-11 * max(1, abs(c))).value
+        scaled = line_integral(CallableField(lambda p: c * AS(p)), path,
+                               tol=1e-11 * max(1, abs(c))).value
         assert scaled == pytest.approx(c * base, rel=1e-8, abs=1e-10)
 
     @given(safe_radius)

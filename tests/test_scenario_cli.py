@@ -10,6 +10,7 @@ import pytest
 
 from abgauge import (DiscSpec, LandauField, Point, SolenoidBField, SolenoidSpec,
                      SolenoidTransverseField, TransformedPotentialField, disc_flux)
+from abgauge import ab_phase as ab_phase_module
 from abgauge import scenario as scenario_module
 from abgauge.calculus import _polar_flux_level
 from abgauge.cli import main
@@ -231,6 +232,40 @@ class TestScenarioExecution:
         record = run_scenario(scenario_from_dict(raw))
         assert exit_code(record) == 0
         assert record.reports[0].value == 1.0
+
+    def test_large_circle_scenario_runs(self):
+        # Three turns of radius 2000 end 1.5e-12 from their start, by rounding alone.
+        circle = {"kind": "circle", "center": [0, 0, 0], "radius": 2000.0, "turns": 3}
+        raw = minimal_scenario(paths={"c": circle},
+                               operations=[{"op": "loop_phase", "loop": "c"},
+                                           {"op": "winding_number", "loop": "c"}])
+        record = run_scenario(scenario_from_dict(raw))
+        assert exit_code(record) == 0
+        assert record.reports[0].value == pytest.approx(3 * math.pi, abs=1e-9)
+        assert record.reports[1].value == 3.0
+
+    @pytest.mark.parametrize("op", [
+        {"op": "phase_shift", "gauge_a": "gauge.sing", "gauge_b": "none", "path": "arc"},
+        {"op": "gauge_scan", "gauges": ["none", "gauge.sing"], "path": "arc"},
+        {"op": "landau_compare", "loop": "c2"},
+        {"op": "open_phase", "gauge": "gauge.sing", "path": "arc"},
+        {"op": "loop_phase", "gauge": "gauge.sing", "loop": "c2"},
+    ], ids=lambda op: op["op"])
+    def test_phase_operations_pass_their_tol_on(self, op, monkeypatch):
+        seen = []
+        real = ab_phase_module.line_integral
+
+        def spy(field, path, tol):
+            seen.append(tol)
+            return real(field, path, tol=tol)
+
+        monkeypatch.setattr(ab_phase_module, "line_integral", spy)
+        arc = {"kind": "arc", "center": [0, 0, 0], "radius": 2.0, "phi0": 0.0, "phi1": 1.0}
+        raw = minimal_scenario(paths={"arc": arc, "c2": minimal_scenario()["paths"]["c2"]},
+                               operations=[{**op, "tol": 1e-3}])
+        record = run_scenario(scenario_from_dict(raw))
+        assert record.reports[0].error is None
+        assert seen and set(seen) == {1e-3}
 
     def test_every_operation_reported_once(self):
         sc = load_scenario(bundled_path("loop_flux"))
