@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from abgauge import (QuadratureConfig, SolenoidSpec, numeric_potential,
-                     solenoid_transverse_potential)
+from abgauge import (QuadratureConfig, SolenoidSpec, SolenoidTransverseField,
+                     numeric_potential)
 
 POINTS = [(0.5, 0.0, 0.0), (1.1, 0.0, 0.3), (2.0, 0.0, 0.0), (5.0, 0.0, 0.0)]
 HALF_LENGTHS = (8.0, 16.0, 32.0, 64.0)
@@ -26,7 +26,7 @@ def main() -> int:
     out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("biot_savart_convergence.csv")
     rows = []
     for p in POINTS:
-        exact = solenoid_transverse_potential(p, S)
+        exact = SolenoidTransverseField(S)(p)
         scale = float(np.max(np.abs(exact))) or 1.0
 
         cfg = QuadratureConfig(n_phi=64, half_lengths=HALF_LENGTHS)

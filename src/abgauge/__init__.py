@@ -10,11 +10,8 @@ from .analytic_fields import (BawinBurnelGauge, CallableField, FieldExpr,
                               SingularSolenoidGauge, SolenoidBField,
                               SolenoidSpec, SolenoidTransverseField, StringCurrent,
                               StringField, SumField, SurfaceCurrent,
-                              TransformedPotentialField, gauge_gradient,
-                              gauge_label, gauge_value, landau_link1,
-                              landau_link2, landau_potential, solenoid_b_field,
-                              solenoid_transverse_potential, string_flux,
-                              system_delta_sources, transformed_potential)
+                              TransformedPotentialField, gauge_label, landau_link1,
+                              landau_link2, system_delta_sources)
 from .ab_phase import (GaugeScanRow, PhaseProbe, PhaseReport, VelocitySample,
                        energy_cancellation, gauge_dependence_scan,
                        interaction_energy, interference_shift, loop_phase,

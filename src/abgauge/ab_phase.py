@@ -23,9 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analytic_fields import (FieldExpr, GaugeChoice, GaugeGradientField,
-                              SolenoidSpec, SolenoidTransverseField,
-                              gauge_label, gauge_value,
-                              solenoid_transverse_potential)
+                              SolenoidSpec, SolenoidTransverseField, gauge_label)
 from .calculus import line_integral
 from .errors import ComputationError, EndpointMismatch
 from .geometry import (LoopSpec, PathSpec, Point, endpoint_azimuths, same_point,
@@ -102,8 +100,8 @@ def _gauge_endpoint_difference(gauge: GaugeChoice, path: PathSpec) -> float:
     end = path.point_at(1.0)
     if gauge.multi_valued:
         az_i, az_f = endpoint_azimuths(path)
-        return gauge_value(gauge, end, az_f) - gauge_value(gauge, start, az_i)
-    return gauge_value(gauge, end) - gauge_value(gauge, start)
+        return gauge.value(end, az_f) - gauge.value(start, az_i)
+    return gauge.value(end) - gauge.value(start)
 
 
 def _phases(probe: PhaseProbe, path: PathSpec,
@@ -236,7 +234,7 @@ def interaction_energy(model: str, sample: VelocitySample, s: SolenoidSpec,
     The magnetostatic overlap route gives +e v . A at the charge's position;
     the photon-exchange route gives the same magnitude with opposite sign.
     """
-    a = solenoid_transverse_potential(sample.position, s)
+    a = SolenoidTransverseField(s)(sample.position)
     base = e * float(np.dot(np.asarray(sample.v), a))
     if model == "boyer":
         return base

@@ -3,7 +3,9 @@
 Covers the infinitely long ideal solenoid (transverse potential, interior
 field, singular azimuthal gauge, gauge-transformed potential) and the
 uniform-field Landau system (symmetric gauge, the two Landau gauges, the
-Bawin-Burnel gauge, and the scalar functions linking them).
+Bawin-Burnel gauge, and the scalar functions linking them).  Each closed
+form is written once, as the ``__call__`` of its field class or the
+``value``/``gradient`` of its gauge class.
 
 All vectors are returned in Cartesian components; the local cylindrical
 frame is resolved at the evaluation point.  Fields, gauge gradients and
@@ -45,7 +47,7 @@ class SolenoidSpec:
 
     The azimuthal surface-current sheet at rho = R has strength B per unit
     length, so B is both the current density scale and the uniform interior
-    field.  flux is the total through the cross-section, pi * R**2 * B.
+    field.  flux, the total through the cross-section, is pi * R**2 * B.
     """
 
     R: float = 1.0
@@ -56,59 +58,12 @@ class SolenoidSpec:
             raise ValueError("solenoid radius must be positive and finite")
         if not math.isfinite(self.B):
             raise ValueError("solenoid field must be finite")
+        if not math.isfinite(math.pi * self.R * self.R * self.B):
+            raise ValueError("solenoid flux pi R^2 B must be finite")
 
     @property
     def flux(self) -> float:
         return math.pi * self.R ** 2 * self.B
-
-
-# ---------------------------------------------------------------------------
-# Closed-form solenoid fields
-# ---------------------------------------------------------------------------
-
-def solenoid_transverse_potential(p, s: SolenoidSpec) -> np.ndarray:
-    """Divergence-free potential sourced by the solenoid current alone.
-
-    (flux / 2 pi) * (rho / R^2) e_phi inside, (flux / 2 pi) / rho e_phi
-    outside; both branches meet at rho = R.  Continuous everywhere,
-    including the axis, where it vanishes.
-    """
-    x, y, _ = _components(p)
-    pref = s.flux / (2.0 * math.pi * np.maximum(x * x + y * y, s.R ** 2))
-    return _stack(-pref * y, pref * x, 0.0)
-
-
-def solenoid_b_field(p, s: SolenoidSpec) -> np.ndarray:
-    """Uniform B e_z inside the shell, zero outside, undefined on it."""
-    x, y, _ = _components(p)
-    rho = np.hypot(x, y)
-    if np.any(np.abs(rho - s.R) < SHELL_TOL):
-        raise OnShell("magnetic field has no value on the current shell")
-    return _stack(0.0, 0.0, np.where(rho < s.R, s.B, 0.0))
-
-
-def transformed_potential(p, s: SolenoidSpec) -> np.ndarray:
-    """Potential after the singular azimuthal gauge transformation.
-
-    Identically zero outside the solenoid; inside it keeps the uniform
-    curl but picks up a 1/rho piece, so the axis is excluded.
-    """
-    x, y, _ = _components(p)
-    rho2 = x * x + y * y
-    if np.any(rho2 < AXIS_CUTOFF ** 2):
-        raise AxisCrossing("transformed potential is singular on the axis")
-    outside = rho2 >= s.R ** 2
-    pref = s.flux / (2.0 * math.pi) * (1.0 / s.R ** 2 - 1.0 / rho2)
-    return _stack(np.where(outside, 0.0, -pref * y), np.where(outside, 0.0, pref * x), 0.0)
-
-
-def string_flux(s: SolenoidSpec) -> float:
-    """Analytic flux of the axis string field through any disc holding the axis.
-
-    The singular gauge deposits a delta-supported field of flux -flux on
-    the axis, cancelling the solenoid's net flux.
-    """
-    return -s.flux
 
 
 # ---------------------------------------------------------------------------
@@ -220,55 +175,11 @@ class BawinBurnelGauge:
 GaugeChoice = Union[PolynomialGauge, SingularSolenoidGauge, BawinBurnelGauge]
 
 
-def gauge_value(gauge: GaugeChoice, p, azimuth: Optional[float] = None) -> float:
-    """Scalar gauge function at p.
-
-    Multi-valued gauges use the supplied continued azimuth (falling back to
-    the principal branch); single-valued gauges ignore it.
-    """
-    return gauge.value(p, azimuth)
-
-
-def gauge_gradient(gauge: GaugeChoice, p, azimuth: Optional[float] = None) -> np.ndarray:
-    """Closed-form gradient of the gauge function at p.
-
-    The azimuth argument only matters for gauges whose gradient is itself
-    branch dependent (Bawin-Burnel).
-    """
-    return gauge.gradient(p, azimuth)
-
-
 def gauge_label(gauge: Optional[GaugeChoice]) -> str:
     return "none" if gauge is None else gauge.label
 
 
-# ---------------------------------------------------------------------------
-# Landau-system potentials
-# ---------------------------------------------------------------------------
-
 LANDAU_VARIANTS = ("S", "L1", "L2", "BB")
-
-
-def landau_potential(variant: str, p, B: float = 1.0,
-                     azimuth: Optional[float] = None) -> np.ndarray:
-    """Uniform-field potential in one of the standard gauges.
-
-    S: (-B y / 2, B x / 2, 0); L1: (-B y, 0, 0); L2: (0, B x, 0);
-    BB: -B r phi e_r, which needs the continued azimuth and excludes the axis.
-    """
-    x, y, _ = _components(p)
-    if variant == "S":
-        return _stack(-0.5 * B * y, 0.5 * B * x, 0.0)
-    if variant == "L1":
-        return _stack(-B * y, 0.0, 0.0)
-    if variant == "L2":
-        return _stack(0.0, B * x, 0.0)
-    if variant == "BB":
-        if np.any(np.hypot(x, y) < AXIS_CUTOFF):
-            raise AxisCrossing("Bawin-Burnel potential undefined on the axis")
-        az = np.arctan2(y, x) if azimuth is None else azimuth
-        return _stack(-B * az * x, -B * az * y, 0.0)
-    raise ValueError(f"unknown Landau variant {variant!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -313,43 +224,67 @@ class FieldExpr:
 
 
 @dataclass(frozen=True)
-class SolenoidTransverseField(FieldExpr):
+class SolenoidField(FieldExpr):
+    """A field of the solenoid; smoothness fails on its shell, rho = R."""
+
     solenoid: SolenoidSpec = SolenoidSpec()
 
     @property
     def radial_breakpoints(self) -> tuple:
         return (self.solenoid.R,)
-
-    def __call__(self, p) -> np.ndarray:
-        return solenoid_transverse_potential(p, self.solenoid)
 
 
 @dataclass(frozen=True)
-class SolenoidBField(FieldExpr):
-    solenoid: SolenoidSpec = SolenoidSpec()
+class SolenoidTransverseField(SolenoidField):
+    """Divergence-free potential sourced by the solenoid current alone.
 
-    @property
-    def radial_breakpoints(self) -> tuple:
-        return (self.solenoid.R,)
+    (flux / 2 pi) * (rho / R^2) e_phi inside, (flux / 2 pi) / rho e_phi
+    outside; both branches meet at rho = R.  Continuous everywhere,
+    including the axis, where it vanishes.
+    """
 
     def __call__(self, p) -> np.ndarray:
-        return solenoid_b_field(p, self.solenoid)
+        s = self.solenoid
+        x, y, _ = _components(p)
+        pref = s.flux / (2.0 * math.pi * np.maximum(x * x + y * y, s.R ** 2))
+        return _stack(-pref * y, pref * x, 0.0)
+
+
+@dataclass(frozen=True)
+class SolenoidBField(SolenoidField):
+    """Uniform B e_z inside the shell, zero outside, undefined on it."""
+
+    def __call__(self, p) -> np.ndarray:
+        s = self.solenoid
+        x, y, _ = _components(p)
+        rho = np.hypot(x, y)
+        if np.any(np.abs(rho - s.R) < SHELL_TOL):
+            raise OnShell("magnetic field has no value on the current shell")
+        return _stack(0.0, 0.0, np.where(rho < s.R, s.B, 0.0))
 
     def _extra_domain_ok(self, rho: np.ndarray, margin: float) -> np.ndarray:
         return np.abs(rho - self.solenoid.R) > SHELL_TOL + margin
 
 
 @dataclass(frozen=True)
-class TransformedPotentialField(FieldExpr):
-    solenoid: SolenoidSpec = SolenoidSpec()
+class TransformedPotentialField(SolenoidField):
+    """Potential after the singular azimuthal gauge transformation.
+
+    Identically zero outside the solenoid; inside it keeps the uniform
+    curl but picks up a 1/rho piece, so the axis is excluded.
+    """
+
     excludes_axis = True
 
-    @property
-    def radial_breakpoints(self) -> tuple:
-        return (self.solenoid.R,)
-
     def __call__(self, p) -> np.ndarray:
-        return transformed_potential(p, self.solenoid)
+        s = self.solenoid
+        x, y, _ = _components(p)
+        rho2 = x * x + y * y
+        if np.any(rho2 < AXIS_CUTOFF ** 2):
+            raise AxisCrossing("transformed potential is singular on the axis")
+        outside = rho2 >= s.R ** 2
+        pref = s.flux / (2.0 * math.pi) * (1.0 / s.R ** 2 - 1.0 / rho2)
+        return _stack(np.where(outside, 0.0, -pref * y), np.where(outside, 0.0, pref * x), 0.0)
 
 
 @dataclass(frozen=True)
@@ -365,28 +300,40 @@ class GaugeGradientField(FieldExpr):
         return bool(self.gauge.branch_dependent_gradient)
 
     def __call__(self, p) -> np.ndarray:
-        return gauge_gradient(self.gauge, p)
+        return self.gauge.gradient(p)
 
 
 @dataclass(frozen=True)
 class LandauField(FieldExpr):
+    """Uniform-field potential in one of the standard gauges.
+
+    S: (-B y / 2, B x / 2, 0); L1: (-B y, 0, 0); L2: (0, B x, 0);
+    BB: -B r phi e_r on the principal azimuth, which excludes the axis and
+    has its branch cut on the negative x half-plane.
+    """
+
     variant: str = "S"
     B: float = 1.0
+
+    excludes_axis = branch_cut = property(lambda self: self.variant == "BB")
 
     def __post_init__(self):
         if self.variant not in LANDAU_VARIANTS:
             raise ValueError(f"unknown Landau variant {self.variant!r}")
 
-    @property
-    def excludes_axis(self) -> bool:  # type: ignore[override]
-        return self.variant == "BB"
-
-    @property
-    def branch_cut(self) -> bool:  # type: ignore[override]
-        return self.variant == "BB"
-
     def __call__(self, p) -> np.ndarray:
-        return landau_potential(self.variant, p, self.B)
+        B = self.B
+        x, y, _ = _components(p)
+        if self.variant == "S":
+            return _stack(-0.5 * B * y, 0.5 * B * x, 0.0)
+        if self.variant == "L1":
+            return _stack(-B * y, 0.0, 0.0)
+        if self.variant == "L2":
+            return _stack(0.0, B * x, 0.0)
+        if np.any(np.hypot(x, y) < AXIS_CUTOFF):
+            raise AxisCrossing("Bawin-Burnel potential undefined on the axis")
+        az = np.arctan2(y, x)
+        return _stack(-B * az * x, -B * az * y, 0.0)
 
 
 @dataclass(frozen=True)
@@ -448,7 +395,7 @@ class StringField:
 
     @property
     def flux(self) -> float:
-        return string_flux(self.solenoid)
+        return -self.solenoid.flux
 
     def flux_through(self, disc) -> float:
         """Analytic flux through a disc; nonzero only when the axis pierces it."""
@@ -466,9 +413,6 @@ class StringCurrent:
     """
 
     solenoid: SolenoidSpec
-
-
-DeltaSource = Union[SurfaceCurrent, StringField, StringCurrent]
 
 
 def system_delta_sources(s: SolenoidSpec, gauge_transformed: bool = False) -> tuple:

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analytic_fields import FieldExpr, SolenoidSpec
+from .analytic_fields import SolenoidField, SolenoidSpec
 from .calculus import DiffConfig, _gl01, numeric_curl
 from .errors import NonConvergent, TooCloseToShell
 from .extrapolation import neville_to_zero
@@ -181,15 +181,10 @@ def numeric_b_field(p, s: SolenoidSpec, cfg: QuadratureConfig = QuadratureConfig
 
 
 @dataclass(frozen=True)
-class NumericBiotSavartField(FieldExpr):
+class NumericBiotSavartField(SolenoidField):
     """The quadrature potential as a field expression (shell band excluded)."""
 
-    solenoid: SolenoidSpec = SolenoidSpec()
     config: QuadratureConfig = QuadratureConfig()
-
-    @property
-    def radial_breakpoints(self) -> tuple:
-        return (self.solenoid.R,)
 
     def __call__(self, p) -> np.ndarray:
         return numeric_potential(p, self.solenoid, self.config).value

@@ -35,6 +35,16 @@ _CHUNK = 1 << 14
 # Gauss-Legendre order per panel of line quadrature and per polar axis of disc flux.
 _LINE_ORDER, _DISC_ORDER = 8, 10
 
+# Refinement budgets in panel doublings: line quadrature, disc flux.
+_LINE_MAX_DOUBLINGS, _DISC_MAX_DOUBLINGS = 16, 8
+
+# Tolerances: the Stokes check's flux (its circulation is 100x tighter), each
+# shrinking circle's circulation, and the spread of extrapolants that is a limit.
+_STOKES_TOL, _SHRINK_TOL, _SHRINK_CAUCHY_TOL = 1e-8, 1e-11, 1e-6
+
+# Largest sampled |div| or |curl| that still counts as zero.
+_HELMHOLTZ_THRESHOLD = 1e-6
+
 
 @dataclass(frozen=True)
 class DiffConfig:
@@ -189,6 +199,9 @@ def _domain_precheck(f: FieldExpr, path: PathSpec, n: int = 129) -> None:
     if not ok.all():
         pt = tuple(np.round(pts[np.argmin(ok)], 6).tolist())
         raise DomainViolation(f"path point {pt} is outside the field's domain")
+    # Between samples that straddle the cut the principal azimuth jumps by nearly 2 pi.
+    if f.branch_cut and np.any(np.abs(np.diff(np.arctan2(pts[:, 1], pts[:, 0]))) > math.pi):
+        raise DomainViolation("path crosses the field's branch cut on the negative x-axis")
 
 
 def _integrand(f: FieldExpr, path: PathSpec):
@@ -201,8 +214,7 @@ def _integrand(f: FieldExpr, path: PathSpec):
     return g
 
 
-def line_integral(f: FieldExpr, path: PathSpec, tol: float = 1e-9,
-                  max_doublings: int = 16) -> CirculationReport:
+def line_integral(f: FieldExpr, path: PathSpec, tol: float = 1e-9) -> CirculationReport:
     """Work integral of f along the path, refined until |I_2n - I_n| < tol.
 
     A reversed path is integrated as its forward twin on the same quadrature
@@ -211,12 +223,11 @@ def line_integral(f: FieldExpr, path: PathSpec, tol: float = 1e-9,
     align with their kinks.
     """
     if path.is_reversed:
-        rep = line_integral(f, path.reverse(), tol, max_doublings)
+        rep = line_integral(f, path.reverse(), tol)
         return CirculationReport(-rep.value, rep.n_points, rep.error_estimate)
 
     if path.kind == "concat":
-        parts = [line_integral(f, c, tol / len(path.children), max_doublings)
-                 for c in path.children]
+        parts = [line_integral(f, c, tol / len(path.children)) for c in path.children]
     else:
         if path.kind == "polyline":
             verts = path.vertices
@@ -230,7 +241,8 @@ def line_integral(f: FieldExpr, path: PathSpec, tol: float = 1e-9,
             g = _integrand(f, piece)
             val, prev, level = refine(lambda k: _composite(g, start << k, _LINE_ORDER),
                                       lambda a, b: abs(a - b) < piece_tol,
-                                      max_doublings, f"line quadrature to tol={piece_tol:g}")
+                                      _LINE_MAX_DOUBLINGS,
+                                      f"line quadrature to tol={piece_tol:g}")
             parts.append(CirculationReport(val, (start << level) * _LINE_ORDER, abs(val - prev)))
     return CirculationReport(math.fsum(r.value for r in parts), sum(r.n_points for r in parts),
                              math.fsum(r.error_estimate for r in parts))
@@ -273,7 +285,7 @@ def _polar_flux_level(f: FieldExpr, disc: DiscSpec, redges, level: int) -> float
 
 
 def disc_flux(f: FieldExpr, disc: DiscSpec, deltas: Sequence = (),
-              tol: float = 1e-9, max_doublings: int = 8) -> CirculationReport:
+              tol: float = 1e-9) -> CirculationReport:
     """Flux of the smooth field through the disc plus enclosed delta fluxes.
 
     The smooth part uses a polar Gauss product rule refined until
@@ -291,7 +303,7 @@ def disc_flux(f: FieldExpr, disc: DiscSpec, deltas: Sequence = (),
 
     smooth, prev, level = refine(
         lambda k: _polar_flux_level(f, disc, redges, k),
-        lambda a, b: abs(a - b) < tol, max_doublings, f"disc flux to tol={tol:g}")
+        lambda a, b: abs(a - b) < tol, _DISC_MAX_DOUBLINGS, f"disc flux to tol={tol:g}")
     total = smooth * disc.orientation
     for d in deltas:
         if isinstance(d, StringField):
@@ -301,7 +313,7 @@ def disc_flux(f: FieldExpr, disc: DiscSpec, deltas: Sequence = (),
 
 
 def stokes_residual(f: FieldExpr, loop: LoopSpec, disc: DiscSpec,
-                    cfg: DiffConfig = DiffConfig(), tol: float = 1e-8) -> float:
+                    cfg: DiffConfig = DiffConfig()) -> float:
     """|circulation along the loop - flux of the numeric curl through the disc|.
 
     The loop must be the rim of the disc; both sides are computed
@@ -312,8 +324,8 @@ def stokes_residual(f: FieldExpr, loop: LoopSpec, disc: DiscSpec,
     if not (np.all(np.abs(rim - disc.radius) <= 1e-9)
             and np.all(np.abs(pts[:, 2] - disc.center.z) <= 1e-9)):
         raise DomainViolation("loop is not the boundary of the disc")
-    circ = line_integral(f, loop.path, tol=tol * 1e-2)
-    flux = disc_flux(NumericCurlField(f, cfg), disc, tol=tol)
+    circ = line_integral(f, loop.path, tol=_STOKES_TOL * 1e-2)
+    flux = disc_flux(NumericCurlField(f, cfg), disc, tol=_STOKES_TOL)
     return abs(circ.value - flux.value)
 
 
@@ -322,9 +334,8 @@ def stokes_residual(f: FieldExpr, loop: LoopSpec, disc: DiscSpec,
 # ---------------------------------------------------------------------------
 
 def shrinking_loop_circulation(f: FieldExpr, center,
-                               eps_list: Sequence[float] = (1e-1, 1e-2, 1e-3),
-                               tol: float = 1e-11,
-                               cauchy_tol: float = 1e-6) -> ShrinkingLoopReport:
+                               eps_list: Sequence[float] = (1e-1, 1e-2, 1e-3)
+                               ) -> ShrinkingLoopReport:
     """Circulations around shrinking circles and their extrapolated limit.
 
     eps_list must be strictly descending.  The limit comes from a
@@ -342,7 +353,7 @@ def shrinking_loop_circulation(f: FieldExpr, center,
     circs = []
     quad_err = 0.0
     for e in eps:
-        rep = line_integral(f, PathSpec.circle(c, e), tol=tol)
+        rep = line_integral(f, PathSpec.circle(c, e), tol=_SHRINK_TOL)
         circs.append(rep.value)
         quad_err = max(quad_err, rep.error_estimate)
 
@@ -353,7 +364,7 @@ def shrinking_loop_circulation(f: FieldExpr, center,
     else:
         prev, _ = neville_to_zero(xs[-2:], circs[-2:])
     spread = abs(float(main) - float(prev))
-    if spread > cauchy_tol:
+    if spread > _SHRINK_CAUCHY_TOL:
         raise NoLimit(
             f"shrinking-loop extrapolants differ by {spread:.3e}; no limit")
     return ShrinkingLoopReport(value=float(main), eps_values=tuple(eps),
@@ -361,13 +372,14 @@ def shrinking_loop_circulation(f: FieldExpr, center,
                                error_estimate=max(spread, quad_err))
 
 
-def helmholtz_classify(f: FieldExpr, sample_points, cfg: DiffConfig = DiffConfig(),
-                       threshold: float = 1e-6) -> HelmholtzReport:
+def helmholtz_classify(f: FieldExpr, sample_points,
+                       cfg: DiffConfig = DiffConfig()) -> HelmholtzReport:
     """Classify a field as transverse/longitudinal from sampled div and curl.
 
-    A field below threshold on both measures is reported as "both"; when it
-    is not the zero field this is the harmonic case (curl-free on the
-    sampled region yet divergence-free), flagged in the notes.
+    A field below _HELMHOLTZ_THRESHOLD on both measures is reported as
+    "both"; when it is not the zero field this is the harmonic case
+    (curl-free on the sampled region yet divergence-free), flagged in the
+    notes.
     """
     pts = np.asarray(sample_points, dtype=float).reshape(-1, 3)
     j = _jacobian(f, pts, cfg)
@@ -375,6 +387,7 @@ def helmholtz_classify(f: FieldExpr, sample_points, cfg: DiffConfig = DiffConfig
     max_curl = float(np.max(np.abs(_curl(j)), initial=0.0))
     max_mag = float(np.max(np.abs(f(pts)), initial=0.0))
 
+    threshold = _HELMHOLTZ_THRESHOLD
     if max_div < threshold and max_curl < threshold:
         classification = "both"
         notes = ("harmonic",) if max_mag >= threshold else ("zero",)

@@ -48,10 +48,17 @@ def as_points(p) -> np.ndarray:
     return arr
 
 
+def _scaled_gap(p, q) -> tuple:
+    """(max-norm of p - q over scale, scale) with scale = max(1, the larger max-norm);
+    both points are divided before they are subtracted, so nothing overflows."""
+    p, q = as_points(p), as_points(q)
+    scale = max(1.0, float(np.abs(p).max()), float(np.abs(q).max()))
+    return float(np.abs(p / scale - q / scale).max()), scale
+
+
 def same_point(p, q) -> bool:
     """Whether two points agree within CLOSURE_TOL times max(1, the larger max-norm)."""
-    p, q = as_points(p), as_points(q)
-    return bool(np.abs(p - q).max() <= CLOSURE_TOL * max(1.0, np.abs(p).max(), np.abs(q).max()))
+    return _scaled_gap(p, q)[0] <= CLOSURE_TOL
 
 
 def as_xyz(point) -> np.ndarray:
@@ -132,10 +139,11 @@ class PathSpec:
         verts = tuple(tuple(float(c) for c in as_xyz(p)) for p in points)
         if len(verts) < 2:
             raise ValueError("polyline needs at least 2 vertices")
-        # A NaN or infinite vertex makes a step non-finite too.
+        # A velocity is a step times the step count; a NaN or infinite vertex spoils both.
+        m = len(verts) - 1
         for k, (p, q) in enumerate(zip(verts, verts[1:])):
-            if not all(math.isfinite(b - a) for a, b in zip(p, q)):
-                raise NonFinite(f"polyline step {k} from {p} to {q} is not finite")
+            if not all(math.isfinite((b - a) * m) for a, b in zip(p, q)):
+                raise NonFinite(f"polyline step {k} from {p} to {q} times {m} is not finite")
         return cls(kind="polyline", vertices=verts)
 
     @classmethod
@@ -161,8 +169,10 @@ class PathSpec:
             raise ValueError(f"{what} radius must be positive")
         c = tuple(float(v) for v in as_xyz(center))
         r, phase, sweep = float(radius), float(phase), float(sweep)
-        # Points lie within |c_xy| + r of the axis, at angles from phase to phase + sweep.
-        if not all(map(math.isfinite, (c[2], math.hypot(c[0], c[1]) + r, sweep, phase + sweep))):
+        # Points lie within |c_xy| + r of the axis, at angles from phase to phase + sweep;
+        # speeds are r * |sweep|.
+        if not all(map(math.isfinite, (c[2], math.hypot(c[0], c[1]) + r, r * sweep,
+                                       phase + sweep))):
             raise NonFinite(f"{what} data do not give finite points: center {c}, "
                             f"radius {r}, phase {phase}, sweep {sweep}")
         return cls(kind="arc", arc=(c, r, phase, sweep))
@@ -357,9 +367,9 @@ class LoopSpec:
     path: PathSpec
 
     def __post_init__(self):
-        if not same_point(self.path.start, self.path.end):
-            gap = float(np.max(np.abs(self.path.start - self.path.end)))
-            raise NotClosed(f"loop endpoints differ by {gap:.3e}")
+        gap, scale = _scaled_gap(self.path.start, self.path.end)
+        if gap > CLOSURE_TOL:
+            raise NotClosed(f"loop endpoints differ by {gap * scale:.3e}")
 
     @classmethod
     def circle(cls, center, radius: float, turns: int = 1) -> "LoopSpec":

@@ -29,12 +29,11 @@ from .ab_phase import (PHASE_TOL, PhaseProbe, VelocitySample, _phases,
                        energy_cancellation, gauge_dependence_scan,
                        interaction_energy, interference_shift, loop_phase,
                        open_path_phase)
-from .analytic_fields import (BawinBurnelGauge, GaugeGradientField, LandauField,
-                              PolynomialGauge, SingularSolenoidGauge,
-                              SolenoidBField, SolenoidSpec,
-                              SolenoidTransverseField, StringField,
-                              TransformedPotentialField, gauge_gradient,
-                              landau_link1, landau_link2)
+from .analytic_fields import (LANDAU_VARIANTS, BawinBurnelGauge, GaugeGradientField,
+                              LandauField, PolynomialGauge, SingularSolenoidGauge,
+                              SolenoidBField, SolenoidSpec, SolenoidTransverseField,
+                              StringField, TransformedPotentialField, landau_link1,
+                              landau_link2)
 from .biot_savart import (NumericBiotSavartField, QuadratureConfig,
                           numeric_b_field, numeric_potential)
 from .calculus import (DiffConfig, disc_flux, helmholtz_classify, line_integral,
@@ -43,12 +42,6 @@ from .calculus import (DiffConfig, disc_flux, helmholtz_classify, line_integral,
 from .errors import ComputationError, NonFinite, ParseError
 from .geometry import DiscSpec, LoopSpec, PathSpec, Point, winding_number
 from .svgmap import emit_field_map
-
-FIELD_IDS = ("solenoid.AS", "solenoid.Aprime", "solenoid.B",
-             "solenoid.AS.numeric", "gauge.sing", "gauge.chi1", "gauge.chi2",
-             "gauge.chitilde", "landau.S", "landau.L1", "landau.L2",
-             "landau.BB")
-
 
 def load_schema() -> dict:
     text = resources.files("abgauge").joinpath("schema/scenario.schema.json").read_text()
@@ -288,21 +281,32 @@ def _resolve_refs(params: dict, scenario: Scenario, where: str) -> dict:
 # Identifier resolution
 # ---------------------------------------------------------------------------
 
+# Each built-in id and the constructor of its object from the scenario.
+_GAUGES = {
+    "gauge.sing": lambda sc: SingularSolenoidGauge(sc.solenoid),
+    "gauge.chi1": lambda sc: landau_link1(sc.landau_b),
+    "gauge.chi2": lambda sc: landau_link2(sc.landau_b),
+    "gauge.chitilde": lambda sc: BawinBurnelGauge(sc.landau_b),
+}
+_FIELDS = {
+    "solenoid.AS": lambda sc: SolenoidTransverseField(sc.solenoid),
+    "solenoid.Aprime": lambda sc: TransformedPotentialField(sc.solenoid),
+    "solenoid.B": lambda sc: SolenoidBField(sc.solenoid),
+    "solenoid.AS.numeric": lambda sc: NumericBiotSavartField(sc.solenoid, sc.quadrature),
+    **{f"landau.{v}": lambda sc, v=v: LandauField(v, sc.landau_b) for v in LANDAU_VARIANTS},
+}
+
+
 def resolve_gauge(gauge_id, scenario: Scenario):
     """Gauge choice for a string id; 'none' means the bare potential."""
     if gauge_id == "none":
         return None
-    if gauge_id == "gauge.sing":
-        return SingularSolenoidGauge(scenario.solenoid)
-    if gauge_id == "gauge.chi1":
-        return landau_link1(scenario.landau_b)
-    if gauge_id == "gauge.chi2":
-        return landau_link2(scenario.landau_b)
-    if gauge_id == "gauge.chitilde":
-        return BawinBurnelGauge(scenario.landau_b)
+    if gauge_id in _GAUGES:
+        return _GAUGES[gauge_id](scenario)
     if gauge_id in scenario.definitions:
         return scenario.definitions[gauge_id]
-    raise ParseError(f"unknown gauge id {gauge_id!r}")
+    raise ParseError(f"unknown gauge id {gauge_id!r}; known ids: none, "
+                     f"{', '.join(_GAUGES)} or a definitions entry")
 
 
 def resolve_field(field_id, scenario: Scenario):
@@ -311,22 +315,12 @@ def resolve_field(field_id, scenario: Scenario):
     Gauge ids resolve to the gradient of the gauge function when used in
     field position.
     """
-    s = scenario.solenoid
-    if field_id == "solenoid.AS":
-        return SolenoidTransverseField(s)
-    if field_id == "solenoid.Aprime":
-        return TransformedPotentialField(s)
-    if field_id == "solenoid.B":
-        return SolenoidBField(s)
-    if field_id == "solenoid.AS.numeric":
-        return NumericBiotSavartField(s, scenario.quadrature)
-    if field_id in ("landau.S", "landau.L1", "landau.L2", "landau.BB"):
-        return LandauField(field_id.split(".", 1)[1], scenario.landau_b)
-    if isinstance(field_id, str) and (field_id.startswith("gauge.")
-                                      or field_id in scenario.definitions):
+    if field_id in _FIELDS:
+        return _FIELDS[field_id](scenario)
+    if field_id in _GAUGES or field_id in scenario.definitions:
         return GaugeGradientField(resolve_gauge(field_id, scenario))
     raise ParseError(f"unknown field id {field_id!r}; known ids: "
-                     f"{', '.join(FIELD_IDS)} or a definitions entry")
+                     f"{', '.join([*_FIELDS, *_GAUGES])} or a definitions entry")
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +400,7 @@ def _h_disc_flux(scenario, params, refs):
 
 
 def _h_string_flux(scenario, params, refs):
-    return -scenario.solenoid.flux, 0.0, "string", {}
+    return StringField(scenario.solenoid).flux, 0.0, "string", {}
 
 
 def _h_shrinking_loop(scenario, params, refs):
@@ -545,7 +539,7 @@ def _h_field_max_abs(scenario, params, refs):
 def _h_gauge_link_residual(scenario, params, refs):
     fa, fb = refs["field_a"], refs["field_b"]
     pts = _scan_points(scenario, params, fa.branch_cut or fb.branch_cut)
-    resid = fa(pts) - fb(pts) - gauge_gradient(refs["gauge"], pts)
+    resid = fa(pts) - fb(pts) - refs["gauge"].gradient(pts)
     return _max_abs(resid), 0.0, f"{params['field_a']}={params['field_b']}+grad", {}
 
 

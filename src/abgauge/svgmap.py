@@ -1,4 +1,4 @@
-"""Deterministic SVG arrow maps of vector fields in the z = const plane.
+"""Deterministic SVG arrow maps of vector fields in the z = 0 plane.
 
 Output is static markup with all coordinates printed at fixed precision, so
 identical inputs produce byte-identical files.  Each arrow element carries
@@ -23,24 +23,21 @@ def _fmt(v: float) -> str:
     return "0.000000" if out == "-0.000000" else out
 
 
-def emit_field_map(field: FieldExpr, window, resolution, out_path,
-                   solenoid: SolenoidSpec = None, z_plane: float = 0.0) -> Path:
-    """Render an arrow map of the field over a rectangular window.
+def emit_field_map(field: FieldExpr, window, resolution: int, out_path,
+                   solenoid: SolenoidSpec = None) -> Path:
+    """Render an arrow map of the field over a rectangular window in z = 0.
 
-    window is (xmin, xmax, ymin, ymax); resolution an int or (nx, ny) cell
-    count.  Grid cells whose center leaves the field's valid domain are
-    masked (no arrow).  When a solenoid is given its cross-section circle is
-    drawn.  Returns the written path.
+    window is (xmin, xmax, ymin, ymax); resolution the cell count per axis.
+    Grid cells whose center leaves the field's valid domain are masked (no
+    arrow).  When a solenoid is given its cross-section circle is drawn.
+    Returns the written path.
     """
     xmin, xmax, ymin, ymax = (float(v) for v in window)
     if xmax <= xmin or ymax <= ymin:
         raise DomainViolation("window must have positive extent")
-    if isinstance(resolution, int):
-        nx = ny = resolution
-    else:
-        nx, ny = resolution
-    if nx < 2 or ny < 2:
+    if resolution < 2:
         raise DomainViolation("resolution must be at least 2 cells per axis")
+    n = resolution
 
     width = _CANVAS
     height = _CANVAS * (ymax - ymin) / (xmax - xmin)
@@ -50,10 +47,10 @@ def emit_field_map(field: FieldExpr, window, resolution, out_path,
     def to_px(x, y):
         return (x - xmin) * sx, (ymax - y) * sy
 
-    cell_px = min(width / nx, height / ny)
-    cy, cx = np.meshgrid(ymin + (np.arange(ny) + 0.5) * (ymax - ymin) / ny,
-                         xmin + (np.arange(nx) + 0.5) * (xmax - xmin) / nx, indexing="ij")
-    centers = np.stack([cx.ravel(), cy.ravel(), np.full(cx.size, float(z_plane))], axis=1)
+    cell_px = min(width, height) / n
+    cy, cx = np.meshgrid(ymin + (np.arange(n) + 0.5) * (ymax - ymin) / n,
+                         xmin + (np.arange(n) + 0.5) * (xmax - xmin) / n, indexing="ij")
+    centers = np.stack([cx.ravel(), cy.ravel(), np.zeros(cx.size)], axis=1)
     centers = centers[field.domain_ok(centers)]  # cells off the domain get no arrow
     vec = field(centers)
     mags = np.hypot(vec[:, 0], vec[:, 1])

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from abgauge import (LandauField, LoopSpec, PathSpec, PhaseProbe, Point,
                      PolynomialGauge, SingularSolenoidGauge, SolenoidSpec,
-                     SolenoidTransverseField, VelocitySample,
-                     energy_cancellation, gauge_dependence_scan, gauge_value,
-                     interaction_energy, interference_shift, landau_link1,
-                     landau_link2, loop_phase, open_path_phase)
+                     SolenoidTransverseField, VelocitySample, energy_cancellation,
+                     gauge_dependence_scan, interaction_energy, interference_shift,
+                     landau_link1, landau_link2, loop_phase, open_path_phase)
 import abgauge.ab_phase as ab_phase
 from abgauge.errors import ComputationError, EndpointMismatch
 
@@ -249,8 +248,8 @@ class TestGaugeScan:
         start, end = path.point_at(0.0), path.point_at(1.0)
         for i in range(4):
             for j in range(4):
-                expected = ((gauge_value(gauges[i], end) - gauge_value(gauges[i], start))
-                            - (gauge_value(gauges[j], end) - gauge_value(gauges[j], start)))
+                expected = ((gauges[i].value(end) - gauges[i].value(start))
+                            - (gauges[j].value(end) - gauges[j].value(start)))
                 assert rows[i].phase - rows[j].phase == pytest.approx(expected, abs=1e-8)
 
 
@@ -274,8 +273,8 @@ class TestLandauCrossCheck:
         rep_1 = open_path_phase(PhaseProbe(base_field=LandauField("L1", 1.0)), path)
         rep_2 = open_path_phase(PhaseProbe(base_field=LandauField("L2", 1.0)), path)
         chi1, chi2 = landau_link1(1.0), landau_link2(1.0)
-        d1 = gauge_value(chi1, end) - gauge_value(chi1, start)
-        d2 = gauge_value(chi2, end) - gauge_value(chi2, start)
+        d1 = chi1.value(end) - chi1.value(start)
+        d2 = chi2.value(end) - chi2.value(start)
         assert rep_s.phase - rep_1.phase == pytest.approx(d1, abs=1e-9)
         assert rep_s.phase - rep_2.phase == pytest.approx(d2, abs=1e-9)
 

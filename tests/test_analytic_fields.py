@@ -6,12 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from abgauge import (BawinBurnelGauge, GaugeGradientField, LandauField,
-                     SingularSolenoidGauge, SolenoidSpec,
+                     SingularSolenoidGauge, SolenoidBField, SolenoidSpec,
                      SolenoidTransverseField, StringCurrent, StringField,
-                     SurfaceCurrent, gauge_gradient, gauge_value, landau_link1,
-                     landau_potential, solenoid_b_field,
-                     solenoid_transverse_potential, string_flux,
-                     system_delta_sources, transformed_potential)
+                     SurfaceCurrent, TransformedPotentialField, landau_link1,
+                     system_delta_sources)
 from abgauge.errors import AxisCrossing, OnShell
 
 from helpers import fd_gradient
@@ -34,18 +32,23 @@ class TestSolenoidSpec:
         with pytest.raises(ValueError):
             SolenoidSpec(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [{"R": 1e200}, {"R": 1e154, "B": 2.0}])
+    def test_overflowing_flux_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="flux"):
+            SolenoidSpec(**kwargs)
+
 
 class TestTransversePotential:
     def test_interior_branch(self):
-        assert np.allclose(solenoid_transverse_potential((0.5, 0, 0), S),
+        assert np.allclose(SolenoidTransverseField(S)((0.5, 0, 0)),
                            (0, 0.25, 0), atol=1e-15)
 
     def test_exterior_branch(self):
-        assert np.allclose(solenoid_transverse_potential((2, 0, 0), S),
+        assert np.allclose(SolenoidTransverseField(S)((2, 0, 0)),
                            (0, 0.25, 0), atol=1e-15)
 
     def test_on_axis(self):
-        assert np.allclose(solenoid_transverse_potential((0, 0, 5), S),
+        assert np.allclose(SolenoidTransverseField(S)((0, 0, 5)),
                            (0, 0, 0), atol=1e-15)
 
     def test_branches_meet_on_shell(self):
@@ -57,7 +60,7 @@ class TestTransversePotential:
            st.floats(-math.pi, math.pi), st.floats(-3, 3))
     def test_azimuthal_direction(self, rho, phi, z):
         p = (rho * math.cos(phi), rho * math.sin(phi), z)
-        a = solenoid_transverse_potential(p, S)
+        a = SolenoidTransverseField(S)(p)
         # Tangential: no radial or axial component.
         assert abs(a[0] * p[0] + a[1] * p[1]) < 1e-12
         assert a[2] == 0.0
@@ -65,43 +68,43 @@ class TestTransversePotential:
 
 class TestBField:
     def test_inside(self):
-        assert np.allclose(solenoid_b_field((0.5, 0, 0), S), (0, 0, 1))
+        assert np.allclose(SolenoidBField(S)((0.5, 0, 0)), (0, 0, 1))
 
     def test_outside(self):
-        assert np.allclose(solenoid_b_field((2, 0, 0), S), (0, 0, 0))
+        assert np.allclose(SolenoidBField(S)((2, 0, 0)), (0, 0, 0))
 
     def test_z_translation_invariance(self):
-        assert np.allclose(solenoid_b_field((0, 0, -3), S), (0, 0, 1))
+        assert np.allclose(SolenoidBField(S)((0, 0, -3)), (0, 0, 1))
 
     def test_on_shell_rejected(self):
         with pytest.raises(OnShell):
-            solenoid_b_field((1.0, 0, 0), S)
+            SolenoidBField(S)((1.0, 0, 0))
 
 
 class TestGaugeValues:
     def test_singular_zero_azimuth(self):
         g = SingularSolenoidGauge(S)
-        assert gauge_value(g, (1, 0, 0), azimuth=0.0) == 0.0
+        assert g.value((1, 0, 0), 0.0) == 0.0
 
     def test_singular_full_winding(self):
         g = SingularSolenoidGauge(S)
-        assert gauge_value(g, (1, 0, 0), azimuth=2 * PI) == pytest.approx(-PI, abs=1e-15)
+        assert g.value((1, 0, 0), 2 * PI) == pytest.approx(-PI, abs=1e-15)
 
     def test_landau_link1_value(self):
-        assert gauge_value(landau_link1(1.0), (3, 2, 0)) == pytest.approx(3.0)
+        assert landau_link1(1.0).value((3, 2, 0)) == pytest.approx(3.0)
 
     def test_singular_axis_rejected(self):
         with pytest.raises(AxisCrossing):
-            gauge_value(SingularSolenoidGauge(S), (0, 0, 0))
+            SingularSolenoidGauge(S).value((0, 0, 0))
 
 
 class TestGaugeGradients:
     def test_singular_gradient(self):
         g = SingularSolenoidGauge(S)
-        assert np.allclose(gauge_gradient(g, (2, 0, 0)), (0, -0.25, 0), atol=1e-15)
+        assert np.allclose(g.gradient((2, 0, 0)), (0, -0.25, 0), atol=1e-15)
 
     def test_landau_link1_gradient(self):
-        assert np.allclose(gauge_gradient(landau_link1(1.0), (3, 2, 0)),
+        assert np.allclose(landau_link1(1.0).gradient((3, 2, 0)),
                            (1.0, 1.5, 0.0), atol=1e-15)
 
     def test_bawin_burnel_gradient_against_fd_oracle(self):
@@ -111,10 +114,10 @@ class TestGaugeGradients:
         p = np.array([1.0, 0.0, 0.0])
 
         def chi(q):
-            return gauge_value(bb, q, azimuth=math.atan2(q[1], q[0]))
+            return bb.value(q, math.atan2(q[1], q[0]))
 
         oracle = fd_gradient(chi, p, h=1e-6)
-        closed = gauge_gradient(bb, p, azimuth=0.0)
+        closed = bb.gradient(p, 0.0)
         assert np.allclose(closed, oracle, atol=1e-9)
         assert np.allclose(closed, (0.0, -0.5, 0.0), atol=1e-12)
 
@@ -124,9 +127,9 @@ class TestGaugeGradients:
         az = math.atan2(p[1], p[0])
 
         def chi(q):
-            return gauge_value(bb, q, azimuth=math.atan2(q[1], q[0]))
+            return bb.value(q, math.atan2(q[1], q[0]))
 
-        assert np.allclose(gauge_gradient(bb, p, azimuth=az),
+        assert np.allclose(bb.gradient(p, az),
                            fd_gradient(chi, p, h=1e-6), atol=1e-8)
 
     def test_singular_gradient_matches_fd_of_branch(self):
@@ -134,70 +137,70 @@ class TestGaugeGradients:
         p = np.array([0.4, 0.9, -1.0])
 
         def chi(q):
-            return gauge_value(g, q, azimuth=math.atan2(q[1], q[0]))
+            return g.value(q, math.atan2(q[1], q[0]))
 
-        assert np.allclose(gauge_gradient(g, p), fd_gradient(chi, p, h=1e-6),
+        assert np.allclose(g.gradient(p), fd_gradient(chi, p, h=1e-6),
                            atol=1e-9)
 
 
 class TestTransformedPotential:
     def test_exterior_vanishes_exactly(self):
-        assert np.all(transformed_potential((2, 0, 0), S) == 0.0)
+        assert np.all(TransformedPotentialField(S)((2, 0, 0)) == 0.0)
 
     def test_interior_value(self):
-        assert np.allclose(transformed_potential((0.5, 0, 0), S),
+        assert np.allclose(TransformedPotentialField(S)((0.5, 0, 0)),
                            (0, -0.75, 0), atol=1e-15)
 
     def test_equals_sum_of_potential_and_gradient(self):
         p = (0.3, 0.4, 1.0)
-        direct = transformed_potential(p, S)
-        summed = (solenoid_transverse_potential(p, S)
-                  + gauge_gradient(SingularSolenoidGauge(S), p))
+        direct = TransformedPotentialField(S)(p)
+        summed = (SolenoidTransverseField(S)(p)
+                  + SingularSolenoidGauge(S).gradient(p))
         assert np.allclose(direct, summed, atol=1e-12)
 
     def test_axis_rejected(self):
         with pytest.raises(AxisCrossing):
-            transformed_potential((0, 0, 0), S)
+            TransformedPotentialField(S)((0, 0, 0))
 
 
 class TestLandauPotentials:
     def test_l1(self):
-        assert np.allclose(landau_potential("L1", (3, 2, 0)), (-2, 0, 0))
+        assert np.allclose(LandauField("L1")((3, 2, 0)), (-2, 0, 0))
 
     def test_symmetric(self):
-        assert np.allclose(landau_potential("S", (3, 2, 0)), (-1, 1.5, 0))
+        assert np.allclose(LandauField("S")((3, 2, 0)), (-1, 1.5, 0))
 
     def test_l2(self):
-        assert np.allclose(landau_potential("L2", (3, 2, 0)), (0, 3, 0))
+        assert np.allclose(LandauField("L2")((3, 2, 0)), (0, 3, 0))
 
     def test_gauge_link_identity_at_point(self):
         p = (3, 2, 0)
-        diff = landau_potential("S", p) - landau_potential("L1", p)
-        assert np.allclose(diff, gauge_gradient(landau_link1(1.0), p), atol=1e-15)
+        diff = LandauField("S")(p) - LandauField("L1")(p)
+        assert np.allclose(diff, landau_link1(1.0).gradient(p), atol=1e-15)
 
     def test_bawin_burnel_from_symmetric(self):
         p = np.array([0.9, 0.4, 0.0])
         az = math.atan2(p[1], p[0])
-        built = (landau_potential("S", p)
-                 + gauge_gradient(BawinBurnelGauge(1.0), p, azimuth=az))
-        assert np.allclose(built, landau_potential("BB", p, azimuth=az), atol=1e-14)
+        built = (LandauField("S")(p)
+                 + BawinBurnelGauge(1.0).gradient(p, az))
+        assert np.allclose(built, LandauField("BB")(p), atol=1e-14)
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
-            landau_potential("L3", (1, 0, 0))
+            LandauField("L3")((1, 0, 0))
 
 
 class TestStringDescriptors:
     def test_string_flux_default(self):
-        assert string_flux(S) == pytest.approx(-PI, abs=1e-15)
+        assert StringField(S).flux == pytest.approx(-PI, abs=1e-15)
 
     def test_string_flux_scales_with_geometry(self):
-        assert string_flux(SolenoidSpec(2, 3)) == pytest.approx(-12 * PI)
+        assert StringField(SolenoidSpec(2, 3)).flux == pytest.approx(-12 * PI)
 
     @given(st.floats(0.1, 5))
     def test_string_flux_linear_in_strength(self, b):
-        assert string_flux(SolenoidSpec(1.0, 2 * b)) == pytest.approx(
-            2 * string_flux(SolenoidSpec(1.0, b)), rel=1e-12)
+        assert StringField(SolenoidSpec(1.0, 2 * b)).flux == pytest.approx(
+            2 * StringField(SolenoidSpec(1.0, b)).flux, rel=1e-12)
 
     def test_delta_ledgers(self):
         original = system_delta_sources(S, gauge_transformed=False)
@@ -231,8 +234,7 @@ class TestFieldExprAlgebra:
 
 def _builtin_fields():
     from abgauge import (CallableField, DiffConfig, NumericBiotSavartField,
-                         PolynomialGauge, QuadratureConfig, SolenoidBField,
-                         TransformedPotentialField)
+                         PolynomialGauge, QuadratureConfig)
     from abgauge.calculus import NumericCurlField
     poly = PolynomialGauge(((2, 1, 0, 0.7), (0, 0, 3, -0.2), (1, 0, 0, 1.5)), name="p")
     return {
@@ -279,12 +281,12 @@ class TestArrayContract:
 
     def test_gauge_gradients_broadcast(self):
         for g in (SingularSolenoidGauge(S), BawinBurnelGauge(1.1), landau_link1(0.5)):
-            assert np.array_equal(gauge_gradient(g, ROWS),
-                                  np.array([gauge_gradient(g, p) for p in ROWS]))
+            assert np.array_equal(g.gradient(ROWS),
+                                  np.array([g.gradient(p) for p in ROWS]))
 
     def test_any_singular_row_raises(self):
         rows = np.concatenate([ROWS, [[0.0, 0.0, 0.0]]])
         with pytest.raises(AxisCrossing):
-            transformed_potential(rows, S)
+            TransformedPotentialField(S)(rows)
         with pytest.raises(OnShell):
-            solenoid_b_field(np.concatenate([ROWS, [[0.0, 1.0, 0.0]]]), S)
+            SolenoidBField(S)(np.concatenate([ROWS, [[0.0, 1.0, 0.0]]]))

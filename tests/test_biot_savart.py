@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from abgauge import (NumericBiotSavartField, QuadratureConfig, SolenoidSpec,
-                     line_integral, numeric_b_field, numeric_potential,
-                     solenoid_transverse_potential)
+                     SolenoidTransverseField, line_integral, numeric_b_field,
+                     numeric_potential)
 from abgauge.errors import NonConvergent, TooCloseToShell
 from abgauge.geometry import PathSpec
 
@@ -58,7 +58,7 @@ class TestNumericPotential:
 
     def test_error_estimate_brackets_true_error(self):
         p = (2, 0, 0.3)
-        exact = solenoid_transverse_potential(p, S)
+        exact = SolenoidTransverseField(S)(p)
         r = numeric_potential(p, S, CFG)
         assert float(np.max(np.abs(r.value - exact))) < 10 * r.error_estimate + 1e-12
 
@@ -117,7 +117,7 @@ class TestTruncationDecay:
     def test_truncation_error_scales_as_inverse_square(self):
         # Distances to the closed form should drop ~4x per half-length doubling.
         p = (2, 0, 0)
-        exact = solenoid_transverse_potential(p, S)
+        exact = SolenoidTransverseField(S)(p)
         r = numeric_potential(p, S, CFG)
         dists = [float(np.max(np.abs(v - exact))) for v in r.per_length]
         for a, b in zip(dists, dists[1:]):

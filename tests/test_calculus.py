@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from abgauge import (CallableField, DiffConfig, DiscSpec, GaugeGradientField,
-                     LandauField, LoopSpec, PathSpec, Point, PolynomialGauge,
-                     SingularSolenoidGauge, SolenoidBField, SolenoidSpec,
-                     SolenoidTransverseField, StringField,
-                     TransformedPotentialField, disc_flux, gauge_value,
-                     helmholtz_classify, landau_link1, landau_link2,
+from abgauge import (BawinBurnelGauge, CallableField, DiffConfig, DiscSpec,
+                     GaugeGradientField, LandauField, LoopSpec, PathSpec, Point,
+                     PolynomialGauge, SingularSolenoidGauge, SolenoidBField, SolenoidSpec,
+                     SolenoidTransverseField, StringField, TransformedPotentialField,
+                     disc_flux, helmholtz_classify, landau_link1, landau_link2,
                      line_integral, numeric_curl, numeric_divergence,
                      shrinking_loop_circulation, stokes_residual)
+import abgauge.calculus as calculus
 from abgauge.errors import DomainViolation, NoConvergence, NoLimit, NonFinite
 
 from helpers import cylinder_points, random_polynomial_gauge, simpson_path_integral
@@ -102,19 +102,38 @@ class TestLineIntegral:
         assert rep.n_points > 0
         assert rep.error_estimate >= 0.0
 
-    def test_no_convergence_budget(self):
+    def test_no_convergence_budget(self, monkeypatch):
         # A discontinuous integrand cannot meet an absurd tolerance.
+        monkeypatch.setattr(calculus, "_LINE_MAX_DOUBLINGS", 6)
         f = CallableField(lambda p: np.array([0.0 if p[0] < 0.55 else 1.0, 0.0, 0.0]))
         path = PathSpec.parametric(lambda t: np.array([t, 0.5, 0.0]),
                                    lambda t: np.array([1.0, 0.0, 0.0]))
         with pytest.raises(NoConvergence):
-            line_integral(f, path, tol=1e-14, max_doublings=6)
+            line_integral(f, path, tol=1e-14)
 
     def test_domain_violation_for_axis_path(self):
         f = GaugeGradientField(SingularSolenoidGauge(S))
         path = PathSpec.segment((0, 0, 0), (1, 0, 0))
         with pytest.raises(DomainViolation):
             line_integral(f, path)
+
+    @pytest.mark.parametrize("field", [LandauField("BB"),
+                                       GaugeGradientField(BawinBurnelGauge(1.0))],
+                             ids=["landau.BB", "gauge.chitilde"])
+    @pytest.mark.parametrize("path", [PathSpec.segment((-2, -1, 0), (-2, 2, 0)),
+                                      PathSpec.arc((0, 0, 0), 2.0, 3.0, 3.3)],
+                             ids=["segment", "arc"])
+    def test_crossing_the_branch_cut_is_a_domain_violation(self, field, path):
+        # No sample lands on the cut; the principal azimuth jumps between two of them.
+        with pytest.raises(DomainViolation, match="branch cut"):
+            line_integral(field, path)
+        with pytest.raises(DomainViolation, match="branch cut"):
+            line_integral(field, path.reverse())
+
+    def test_path_beside_the_branch_cut_integrates(self):
+        # -B r phi e_r is radial, so on a centred arc the work vanishes.
+        rep = line_integral(LandauField("BB"), PathSpec.arc((0, 0, 0), 2.0, -3.0, 3.0))
+        assert rep.value == pytest.approx(0.0, abs=1e-12)
 
     def test_gradient_theorem_randomized(self, rng):
         # 20 random polylines, random smooth gauges.
@@ -123,7 +142,7 @@ class TestLineIntegral:
             pts = [rng.uniform(-2, 2, size=3) for _ in range(int(rng.integers(2, 5)))]
             path = PathSpec.polyline(pts)
             rep = line_integral(GaugeGradientField(g), path, tol=1e-11)
-            expected = gauge_value(g, pts[-1]) - gauge_value(g, pts[0])
+            expected = g.value(pts[-1]) - g.value(pts[0])
             assert rep.value == pytest.approx(expected, abs=1e-8)
 
     def test_winding_proportional_circulation_of_singular_gradient(self):
@@ -308,8 +327,7 @@ class TestNonFiniteStopsRefinement:
 
         message = r"line integrand is not finite at t = [\d.e-]+, point \["
         with pytest.raises(NonFinite, match=message):
-            line_integral(CallableField(nan_field), PathSpec.circle((0, 0, 0), 2.0),
-                          max_doublings=12)
+            line_integral(CallableField(nan_field), PathSpec.circle((0, 0, 0), 2.0))
         assert len(calls) == 2 * 8  # the first level: 2 panels of order 8
 
     def test_infinite_value_on_a_polyline_segment(self):

@@ -110,6 +110,15 @@ class TestSamePoint:
         assert not same_point((0.5, 0, 0), (0.5, 2e-12, 0))
         assert not same_point((0, 0, 0), (math.nan, 0, 0))
 
+    def test_points_near_the_float_limit(self):
+        assert not same_point((1.7e308, 0, 0), (-1.7e308, 0, 0))
+        assert same_point((1.7e308, 0, 0), (1.7e308, 1.0, 0))
+
+    def test_loop_gap_near_the_float_limit(self):
+        path = PathSpec.parametric(lambda t: np.array([1.7e308 * (1.0 - 2.0 * t), 1.0, 0.0]))
+        with pytest.raises(NotClosed, match="loop endpoints differ by"):
+            LoopSpec(path)
+
     def test_large_arcs_join(self):
         upper = PathSpec.arc((0, 0, 0), 3e4, 0.3, 2.0)
         lower = PathSpec.arc((0, 0, 0), 3e4, 0.3, 2.0 - 2 * math.pi)
@@ -380,12 +389,15 @@ class TestConstructorsCheckTheirData:
         lambda: PathSpec.arc((0, 0, math.nan), 1.0, 0.0, 1.0),
         lambda: PathSpec.arc((0, 0, 0), math.nan, 0.0, 1.0),
         lambda: PathSpec.circle((0, 0, 0), 1.0, start_phase=math.inf),
+        lambda: PathSpec.arc((0, 0, 0), 1e308, 0.0, 3.0),
+        lambda: PathSpec.polyline([(1e308, 0, 0), (0, 0, 0), (1e308, 0, 0)]),
         lambda: DiscSpec(Point(1e308, 0, 0), 1e308),
         lambda: DiscSpec(Point(0, 0, math.inf), 1.0),
         lambda: DiscSpec(Point(0, 0, 0), math.nan),
     ], ids=["polyline-step-overflows", "polyline-inf-vertex", "segment-nan-vertex",
             "arc-center-plus-radius-overflows", "arc-sweep-overflows", "arc-nan-z",
-            "arc-nan-radius", "circle-inf-phase", "disc-center-plus-radius-overflows",
+            "arc-nan-radius", "circle-inf-phase", "arc-speed-overflows",
+            "polyline-speed-overflows", "disc-center-plus-radius-overflows",
             "disc-inf-z", "disc-nan-radius"])
     def test_overflowing_or_non_finite_data(self, build):
         with pytest.raises(NonFinite):
@@ -394,6 +406,8 @@ class TestConstructorsCheckTheirData:
     def test_large_finite_data_is_kept(self):
         arc = PathSpec.arc((1e307, 0, 0), 1e307, 0.0, 1.0)
         assert np.isfinite(arc.sample(9)).all()
+        arc = PathSpec.arc((0, 0, 0), 1e307, 0.0, 3.0)
+        assert np.isfinite(arc.velocities(np.linspace(0.0, 1.0, 9))).all()
         line = PathSpec.polyline([(1e307, 0, 0), (-1e307, 0, 0)])
         assert np.isfinite(line.sample(9)).all()
         assert DiscSpec(Point(1e307, 0, 0), 1e307).radius == 1e307

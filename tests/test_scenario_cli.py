@@ -1,13 +1,18 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import abgauge
 from abgauge import (DiscSpec, LandauField, Point, SolenoidBField, SolenoidSpec,
                      SolenoidTransverseField, TransformedPotentialField, disc_flux)
 from abgauge import ab_phase as ab_phase_module
@@ -77,6 +82,11 @@ class TestScenarioIngestion:
     def test_schema_passes_its_meta_schema(self):
         schema = load_schema()
         jsonschema.validators.validator_for(schema).check_schema(schema)
+
+    def test_schema_operations_match_the_handlers(self):
+        ops = load_schema()["definitions"]["operation"]
+        assert set(ops["properties"]["op"]["enum"]) == set(scenario_module.HANDLERS)
+        assert set(ops["required_by_op"]) <= set(ops["properties"]["op"]["enum"])
 
     def test_schema_violation_rejected(self):
         raw = minimal_scenario()
@@ -266,6 +276,18 @@ class TestScenarioExecution:
         record = run_scenario(scenario_from_dict(raw))
         assert record.reports[0].error is None
         assert seen and set(seen) == {1e-3}
+
+    @pytest.mark.parametrize("op", [
+        {"op": "open_phase", "gauge": "gauge.chitilde", "path": "cut"},
+        {"op": "open_phase", "base": "landau.BB", "path": "cut"},
+        {"op": "line_integral", "field": "landau.BB", "path": "cut"},
+    ], ids=["gauge.chitilde", "base-landau.BB", "line_integral"])
+    def test_path_across_the_branch_cut_is_a_domain_violation(self, op):
+        cut = {"kind": "segment", "from": [-2, -1, 0], "to": [-2, 2, 0]}
+        record = run_scenario(scenario_from_dict(minimal_scenario(paths={"cut": cut},
+                                                                  operations=[op])))
+        assert exit_code(record) == 3
+        assert record.reports[0].error.startswith("DomainViolation: ")
 
     def test_every_operation_reported_once(self):
         sc = load_scenario(bundled_path("loop_flux"))
@@ -653,6 +675,16 @@ class TestCliExitCodes:
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert not (tmp_path / "map.svg").exists()
+
+    def test_overflowing_flux_through_the_entry_point_exits_2(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(abgauge.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "abgauge",
+                               "eval", "solenoid.AS", "--at", "2,0,0", "--R", "1e200"],
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "flux" in proc.stderr
 
     @pytest.mark.parametrize("argv", [
         ["phase", "open", "--arc=1:2"],

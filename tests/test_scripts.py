@@ -1,0 +1,39 @@
+"""The scripts under scripts/ run end to end against the installed package."""
+
+import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import abgauge
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, *args, cwd):
+    env = {**os.environ, "PYTHONPATH": str(Path(abgauge.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(SCRIPTS / name),
+                           *map(str, args)], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_biot_savart_convergence_writes_its_table(tmp_path):
+    out = tmp_path / "convergence.csv"
+    proc = run_script("biot_savart_convergence.py", out, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    with out.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    # Four points, each with four half-lengths, one extrapolation and four orders.
+    assert len(rows) == 4 * (4 + 1 + 4)
+    extrapolated = [float(r["rel_err"]) for r in rows if r["mode"] == "extrapolated"]
+    assert max(extrapolated) < 1e-5
+
+
+def test_render_field_maps_writes_the_gallery(tmp_path):
+    proc = run_script("render_field_maps.py", tmp_path / "maps", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    names = sorted(p.name for p in (tmp_path / "maps").iterdir())
+    assert names == ["landau_L1.svg", "landau_L2.svg", "landau_S.svg", "solenoid_AS.svg",
+                     "solenoid_Aprime.svg"]
+    assert all((tmp_path / "maps" / n).read_text().startswith("<?xml") for n in names)
