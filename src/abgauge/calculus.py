@@ -27,7 +27,7 @@ import numpy as np
 from .analytic_fields import FieldExpr, StringField
 from .errors import DomainViolation, NoLimit
 from .extrapolation import neville_to_zero, refine
-from .geometry import DiscSpec, LoopSpec, PathSpec, as_points, as_xyz, require_finite
+from .geometry import DiscSpec, PathSpec, as_points, as_xyz, require_finite
 
 # Points per field call; larger refinement levels are evaluated in blocks.
 _CHUNK = 1 << 14
@@ -312,19 +312,13 @@ def disc_flux(f: FieldExpr, disc: DiscSpec, deltas: Sequence = (),
     return CirculationReport(total, nodes, abs(smooth - prev))
 
 
-def stokes_residual(f: FieldExpr, loop: LoopSpec, disc: DiscSpec,
-                    cfg: DiffConfig = DiffConfig()) -> float:
-    """|circulation along the loop - flux of the numeric curl through the disc|.
+def stokes_residual(f: FieldExpr, disc: DiscSpec, cfg: DiffConfig = DiffConfig()) -> float:
+    """|circulation along the disc's rim - flux of the numeric curl through the disc|.
 
-    The loop must be the rim of the disc; both sides are computed
-    independently (quadrature against finite-difference curl quadrature).
+    Both sides are computed independently (quadrature against
+    finite-difference curl quadrature).
     """
-    pts = loop.path.points(np.linspace(0.0, 1.0, 17))
-    rim = np.hypot(pts[:, 0] - disc.center.x, pts[:, 1] - disc.center.y)
-    if not (np.all(np.abs(rim - disc.radius) <= 1e-9)
-            and np.all(np.abs(pts[:, 2] - disc.center.z) <= 1e-9)):
-        raise DomainViolation("loop is not the boundary of the disc")
-    circ = line_integral(f, loop.path, tol=_STOKES_TOL * 1e-2)
+    circ = line_integral(f, disc.boundary().path, tol=_STOKES_TOL * 1e-2)
     flux = disc_flux(NumericCurlField(f, cfg), disc, tol=_STOKES_TOL)
     return abs(circ.value - flux.value)
 

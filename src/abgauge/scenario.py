@@ -198,13 +198,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
         raise ParseError(f"scenario does not match schema"
                          f"{' at ' + at if at else ''}: {error.message}") from error
 
-    sol = raw.get("solenoid", {})
-    quad = raw.get("quadrature", {})
     try:
-        solenoid = SolenoidSpec(R=sol.get("R", 1.0), B=sol.get("B", 1.0))
-        quadrature = QuadratureConfig(
-            n_phi=quad.get("n_phi", 48),
-            half_lengths=tuple(quad.get("half_lengths", (8.0, 16.0, 32.0, 64.0))))
+        solenoid = SolenoidSpec(**raw.get("solenoid", {}))
+        quadrature = QuadratureConfig(**raw.get("quadrature", {}))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -411,9 +407,8 @@ def _h_shrinking_loop(scenario, params, refs):
 
 
 def _h_stokes_residual(scenario, params, refs):
-    disc = refs["disc"]
     cfg = DiffConfig(h=params.get("h", 1e-4), order=params.get("order", 2))
-    val = stokes_residual(refs["field"], disc.boundary(), disc, cfg)
+    val = stokes_residual(refs["field"], refs["disc"], cfg)
     return val, 0.0, params["field"], {}
 
 
@@ -707,10 +702,6 @@ def write_outputs(record: RunRecord, out_dir, fmt: Optional[str] = None) -> list
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     fmt = fmt or "json"
-    # "svg" scenarios emit their drawings from field_map operations; the
-    # run record itself is always stored as JSON then.
-    if fmt == "svg":
-        fmt = "json"
     written = []
     if fmt in ("json", "both"):
         p = out / f"{record.scenario}.json"

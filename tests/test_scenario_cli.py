@@ -560,6 +560,42 @@ class TestCli:
         p.write_text(json.dumps(raw))
         assert main(["run", str(p), "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("order", [("pass", "fail"), ("fail", "pass")])
+    def test_run_many_files_exits_with_the_worst_code(self, order, tmp_path, capsys):
+        files = []
+        for name in order:
+            raw = minimal_scenario(name=name)
+            if name == "fail":
+                raw["operations"][0]["expect"] = {"value": 42.0, "tol": 1e-12}
+            files.append(tmp_path / f"{name}.json")
+            files[-1].write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["run", *map(str, files), "--out", str(out)]) == 1
+        for name in order:
+            record = json.loads((out / f"{name}.json").read_text())
+            assert record["passed"] is (name == "pass")
+        assert capsys.readouterr().out.count("wrote: ") == 2
+
+    def test_run_parses_every_file_before_running_any(self, tmp_path, capsys):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(minimal_scenario(name="good")))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(minimal_scenario(name="bad", operations=[
+            {"op": "eval_field", "field": "solenoid.AS"}])))
+        out = tmp_path / "out"
+        assert main(["run", str(good), str(bad), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}: ") and captured.out == ""
+        assert not out.exists()
+
+    def test_run_refuses_two_scenarios_of_one_name(self, tmp_path, capsys):
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps(minimal_scenario()))
+        out = tmp_path / "out"
+        assert main(["run", str(p), str(p), "--out", str(out)]) == 2
+        assert "named 't'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_numerical_error_exits_3(self, tmp_path):
         raw = {"name": "shell", "operations": [
             {"op": "numeric_potential", "at": [1.0001, 0, 0]}]}
@@ -645,6 +681,38 @@ class TestCli:
         assert main(["string", "--eps=1e-3,1e-2,1e-1"]) == 3
         assert capsys.readouterr().err.startswith("operation error: ValueError: ")
 
+    # Each verb given only its required flags, then with the values the
+    # engine defaults to written out: the output is the same byte for byte.
+    @pytest.mark.parametrize("argv, defaults", [
+        (["eval", "solenoid.AS", "--at=2,0,0"], ["--R=1", "--B=1", "--landau-b=1"]),
+        (["eval", "solenoid.AS.numeric", "--at=2,0,0"],
+         ["--nphi=48", "--half-lengths=8,16,32,64"]),
+        (["phase", "loop", "--circle=2"],
+         ["--tol=1e-12", "--turns=1", "--charge=1", "--gauge=none", "--center=0,0,0",
+          "--R=1", "--B=1", "--landau-b=1"]),
+        (["phase", "open", "--arc=2:0:1"],
+         ["--tol=1e-12", "--charge=1", "--gauge=none", "--center=0,0,0",
+          "--R=1", "--B=1", "--landau-b=1"]),
+        # A segment across the shell: its phase and estimate depend on the tolerance.
+        (["phase", "open", "--segment=0.5,0,0:2,1,0"], ["--tol=1e-12"]),
+        (["flux", "--radius=0.5"],
+         ["--field=solenoid.B", "--center=0,0,0", "--tol=1e-9", "--R=1", "--B=1",
+          "--landau-b=1"]),
+        (["string"], ["--eps=0.1,0.01,0.001", "--R=1", "--B=1", "--landau-b=1"]),
+        (["landau", "compare"], ["--b=1", "--charge=1", "--corner=0,0", "--size=1"]),
+        (["plot", "field", "landau.S", "--out=map.svg"],
+         ["--window=-3,3,-3,3", "--resolution=24", "--R=1", "--B=1", "--landau-b=1"]),
+    ])
+    def test_omitted_flags_take_the_engine_defaults(self, argv, defaults, tmp_path,
+                                                    monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        outputs = []
+        for args in (argv, argv + defaults):
+            assert main(args) == 0
+            svg = tmp_path / "map.svg"
+            outputs.append((capsys.readouterr(), svg.read_bytes() if svg.exists() else None))
+        assert outputs[0] == outputs[1]
+
     def test_removed_nz_flag_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "solenoid.AS.numeric", "--at", "2,0,0", "--nz", "8"])
@@ -666,6 +734,13 @@ class TestCliExitCodes:
         (["string", "--eps=1e-3,1e-2,1e-1"], 3, "ValueError"),
         (["phase", "loop", "--circle=1", "--charge=0"], 3, "ValueError"),
         (["phase", "loop", "--segment=2,0,0:3,0,0"], 3, "NotClosed"),
+        (["eval", "solenoid.AS", "--at=1e200,0,0"], 2, "operations.0.at.0"),
+        (["phase", "open", "--arc=5e307:0:1"], 2, "paths.arc.radius"),
+        (["flux", "--radius=1e200"], 2, "discs.disc.radius"),
+        (["phase", "loop", "--polyline=1e200,0,0;0,1e200,0;-1e200,0,0;0,-1e200,0;1e200,0,0"],
+         2, "paths.polyline.points"),
+        (["plot", "field", "solenoid.AS", "--resolution=1", "--out=map.svg"], 2,
+         "operations.0.resolution"),
     ])
     def test_degenerate_argv(self, argv, code, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

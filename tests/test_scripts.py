@@ -29,11 +29,3 @@ def test_biot_savart_convergence_writes_its_table(tmp_path):
     extrapolated = [float(r["rel_err"]) for r in rows if r["mode"] == "extrapolated"]
     assert max(extrapolated) < 1e-5
 
-
-def test_render_field_maps_writes_the_gallery(tmp_path):
-    proc = run_script("render_field_maps.py", tmp_path / "maps", cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    names = sorted(p.name for p in (tmp_path / "maps").iterdir())
-    assert names == ["landau_L1.svg", "landau_L2.svg", "landau_S.svg", "solenoid_AS.svg",
-                     "solenoid_Aprime.svg"]
-    assert all((tmp_path / "maps" / n).read_text().startswith("<?xml") for n in names)
