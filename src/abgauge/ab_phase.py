@@ -7,8 +7,10 @@ the gauge part (endpoint difference of the gauge function, branch tracked
 for multi-valued gauges).  One routine, ``_phases``, makes that split for
 every phase operation: it integrates the transverse potential once per
 path, and for each gauge integrates the full potential once and takes the
-gauge function's endpoint difference; the two routes must recombine to
-the total.
+gauge function's endpoint difference (``GaugeGradientField.circulation``);
+the two routes must recombine to the total.  The transverse integral and
+the endpoint difference are closed forms where the field has one, and the
+full potential, a sum of fields, is always integrated by quadrature.
 
 Also houses the two closed-form interaction-energy models for a charge at
 constant velocity and their exact cancellation.
@@ -24,10 +26,9 @@ import numpy as np
 
 from .analytic_fields import (FieldExpr, GaugeChoice, GaugeGradientField,
                               SolenoidSpec, SolenoidTransverseField, gauge_label)
-from .calculus import line_integral
+from .calculus import add_estimates, line_integral
 from .errors import ComputationError, EndpointMismatch
-from .geometry import (LoopSpec, PathSpec, Point, endpoint_azimuths, same_point,
-                       winding_number)
+from .geometry import LoopSpec, PathSpec, Point, same_point, winding_number
 
 PHASE_TOL = 1e-12
 
@@ -63,13 +64,14 @@ class PhaseReport:
     phase - transverse_part - gauge_part is a genuine consistency residual:
     the total comes from integrating the full potential, the parts from the
     split routes.  Construction rejects reports where the two routes drift
-    apart by more than 1e-10.
+    apart by more than 1e-10.  error_estimate is None when every integral
+    behind the phase is exact.
     """
 
     phase: float
     transverse_part: float
     gauge_part: float
-    error_estimate: float
+    error_estimate: Optional[float]
     winding: Optional[int] = None
     singular_gauge: bool = False
     notes: tuple = ()
@@ -95,15 +97,6 @@ class VelocitySample:
         object.__setattr__(self, "v", vv)
 
 
-def _gauge_endpoint_difference(gauge: GaugeChoice, path: PathSpec) -> float:
-    start = path.point_at(0.0)
-    end = path.point_at(1.0)
-    if gauge.multi_valued:
-        az_i, az_f = endpoint_azimuths(path)
-        return gauge.value(end, az_f) - gauge.value(start, az_i)
-    return gauge.value(end) - gauge.value(start)
-
-
 def _phases(probe: PhaseProbe, path: PathSpec,
             gauges: Sequence[Optional[GaugeChoice]], tol: float) -> list:
     """One PhaseReport per gauge over one path; probe.gauge is not read.
@@ -116,22 +109,26 @@ def _phases(probe: PhaseProbe, path: PathSpec,
     e = probe.e
     rep_t = line_integral(base, path, tol=tol)
     transverse = e * rep_t.value
+
+    def estimate(*reps):
+        est = add_estimates(*(r.error_estimate for r in reps))
+        return None if est is None else abs(e) * est
+
     reports = []
     for g in gauges:
         if g is None:
             reports.append(PhaseReport(phase=transverse, transverse_part=transverse,
-                                       gauge_part=0.0,
-                                       error_estimate=abs(e) * rep_t.error_estimate))
+                                       gauge_part=0.0, error_estimate=estimate(rep_t)))
             continue
-        rep_total = line_integral(base + GaugeGradientField(g), path, tol=tol)
+        gradient = GaugeGradientField(g)
+        rep_total = line_integral(base + gradient, path, tol=tol)
         singular = bool(g.multi_valued)
         notes = ("multi-valued gauge: endpoint values taken on the branch "
                  "continued along the path",) if singular else ()
         reports.append(PhaseReport(phase=e * rep_total.value,
                                    transverse_part=transverse,
-                                   gauge_part=e * _gauge_endpoint_difference(g, path),
-                                   error_estimate=abs(e) * (rep_t.error_estimate
-                                                            + rep_total.error_estimate),
+                                   gauge_part=e * gradient.circulation(path),
+                                   error_estimate=estimate(rep_t, rep_total),
                                    singular_gauge=singular,
                                    notes=notes))
     return reports
@@ -180,7 +177,7 @@ def interference_shift(probe: PhaseProbe, c1: PathSpec, c2: PathSpec,
     return PhaseReport(phase=r1.phase - r2.phase,
                        transverse_part=r1.transverse_part - r2.transverse_part,
                        gauge_part=r1.gauge_part - r2.gauge_part,
-                       error_estimate=r1.error_estimate + r2.error_estimate,
+                       error_estimate=add_estimates(r1.error_estimate, r2.error_estimate),
                        singular_gauge=r1.singular_gauge or r2.singular_gauge)
 
 
@@ -208,7 +205,7 @@ def gauge_dependence_scan(path: PathSpec, gauges: Sequence[Optional[GaugeChoice]
     rows = tuple(GaugeScanRow(gauge_id=gauge_label(g), phase=r.phase,
                               transverse_part=r.transverse_part, gauge_part=r.gauge_part)
                  for g, r in zip(gauges, _phases(probe, path, gauges, tol)))
-    shifts = [0.0 if g is None else _gauge_endpoint_difference(g, path) for g in gauges]
+    shifts = [0.0 if g is None else GaugeGradientField(g).circulation(path) for g in gauges]
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
             expected = probe.e * (shifts[i] - shifts[j])

@@ -5,7 +5,8 @@ field, singular azimuthal gauge, gauge-transformed potential) and the
 uniform-field Landau system (symmetric gauge, the two Landau gauges, the
 Bawin-Burnel gauge, and the scalar functions linking them).  Each closed
 form is written once, as the ``__call__`` of its field class or the
-``value``/``gradient`` of its gauge class.
+``value``/``gradient`` of its gauge class; a field's exact work integral
+along a path, where it has one, is its ``circulation``.
 
 All vectors are returned in Cartesian components; the local cylindrical
 frame is resolved at the evaluation point.  Fields, gauge gradients and
@@ -25,8 +26,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import AxisCrossing, OnShell
-from .geometry import AXIS_CUTOFF, as_points, as_xyz
+from .errors import AxisCrossing, NonFinite, OnShell
+from .geometry import (AXIS_CUTOFF, arc_azimuth_change, as_points, as_xyz,
+                       endpoint_azimuths)
 
 SHELL_TOL = 1e-12
 
@@ -75,7 +77,8 @@ class PolynomialGauge:
     """Single-valued gauge function sum_k c_k x^i y^j z^k.
 
     coefficients holds (i, j, k, c) monomial entries.  Smooth everywhere,
-    so the gradient is an exact closed form and its curl vanishes.
+    so the gradient is an exact closed form and its curl vanishes.  A value
+    or gradient that overflows raises NonFinite naming the point.
     """
 
     coefficients: tuple
@@ -88,19 +91,33 @@ class PolynomialGauge:
         return self.name
 
     def value(self, p, azimuth: Optional[float] = None) -> float:
-        x, y, z = as_xyz(p)
-        return math.fsum(c * x ** i * y ** j * z ** k
-                         for (i, j, k, c) in self.coefficients)
+        pt = as_xyz(p)
+        x, y, z = pt
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = [c * x ** i * y ** j * z ** k for (i, j, k, c) in self.coefficients]
+        try:
+            total = math.fsum(terms)
+        except (OverflowError, ValueError):  # a finite sum beyond the float range, or inf - inf
+            total = math.inf
+        if not math.isfinite(total):
+            raise NonFinite(f"gauge {self.name} is not finite at point {pt.tolist()}")
+        return total
 
     def gradient(self, p, azimuth: Optional[float] = None) -> np.ndarray:
         x, y, z = _components(p)
-        gx = sum(c * i * x ** (i - 1) * y ** j * z ** k
-                 for (i, j, k, c) in self.coefficients if i > 0)
-        gy = sum(c * j * x ** i * y ** (j - 1) * z ** k
-                 for (i, j, k, c) in self.coefficients if j > 0)
-        gz = sum(c * k * x ** i * y ** j * z ** (k - 1)
-                 for (i, j, k, c) in self.coefficients if k > 0)
-        return _stack(gx, gy, gz)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gx = sum(c * i * x ** (i - 1) * y ** j * z ** k
+                     for (i, j, k, c) in self.coefficients if i > 0)
+            gy = sum(c * j * x ** i * y ** (j - 1) * z ** k
+                     for (i, j, k, c) in self.coefficients if j > 0)
+            gz = sum(c * k * x ** i * y ** j * z ** (k - 1)
+                     for (i, j, k, c) in self.coefficients if k > 0)
+        grad = _stack(gx, gy, gz)
+        ok = np.isfinite(grad).all(axis=-1)
+        if not ok.all():
+            bad = as_points(p).reshape(-1, 3)[np.argmin(ok.ravel())].tolist()
+            raise NonFinite(f"gradient of gauge {self.name} is not finite at point {bad}")
+        return grad
 
 
 def landau_link1(B: float = 1.0) -> PolynomialGauge:
@@ -222,6 +239,14 @@ class FieldExpr:
     def __add__(self, other: "FieldExpr") -> "FieldExpr":
         return SumField((self, other))
 
+    def circulation(self, path) -> Optional[float]:
+        """Exact work integral along a forward path, or None with no closed form there.
+
+        ``calculus.line_integral`` resolves reversal and concatenation first and
+        integrates by quadrature where this gives None.
+        """
+        return None
+
 
 @dataclass(frozen=True)
 class SolenoidField(FieldExpr):
@@ -248,6 +273,91 @@ class SolenoidTransverseField(SolenoidField):
         x, y, _ = _components(p)
         pref = s.flux / (2.0 * math.pi * np.maximum(x * x + y * y, s.R ** 2))
         return _stack(-pref * y, pref * x, 0.0)
+
+    def circulation(self, path) -> Optional[float]:
+        """Exact work integral along a forward arc or polyline; None for other paths.
+
+        Each piece is split where it crosses rho = R.  Outside, the work is
+        (flux / 2 pi) times the azimuth change; inside, (flux / 2 pi R^2) times
+        the integral of x dy - y dx.
+        """
+        if path.is_reversed or path.kind not in ("arc", "polyline"):
+            return None
+        s = self.solenoid
+        R2 = s.R ** 2
+        if path.kind == "arc":
+            pieces = _arc_pieces(path.arc, R2)
+        else:
+            verts = path.vertices
+            pieces = [q for a, b in zip(verts, verts[1:]) for q in _segment_pieces(a, b, R2)]
+        inner = math.fsum(v for inside, v in pieces if inside)
+        outer = math.fsum(v for inside, v in pieces if not inside)
+        return s.flux / (2.0 * math.pi * R2) * inner + s.flux / (2.0 * math.pi) * outer
+
+
+def _segment_pieces(a, b, R2: float) -> list:
+    """(inside, term) for each piece of the segment a -> b between its crossings of
+    rho^2 = R2: (p x q)_z inside and the azimuth change outside, for a piece p -> q.
+
+    The crossings are the roots of |a + t d|^2 = R2, taken about the closest
+    approach t0 so that no coordinate is squared twice.
+    """
+    ax, ay, bx, by = a[0], a[1], b[0], b[1]
+    dx, dy = bx - ax, by - ay
+    dd = dx * dx + dy * dy
+    if dd == 0:  # no motion in the xy plane, so no work
+        return []
+    lo = hi = 0.0
+    t0 = -(ax * dx + ay * dy) / dd
+    mx, my = ax + t0 * dx, ay + t0 * dy
+    if mx * mx + my * my < R2:
+        w = math.sqrt((R2 - (mx * mx + my * my)) / dd)
+        lo, hi = t0 - w, t0 + w  # inside the shell between the roots
+    ts = [0.0, *(t for t in (lo, hi) if 0.0 < t < 1.0), 1.0]
+    pts = [(ax, ay), *((ax + t * dx, ay + t * dy) for t in ts[1:-1]), (bx, by)]
+    out = []
+    for (px, py), (qx, qy), t, u in zip(pts, pts[1:], ts, ts[1:]):
+        cross = px * qy - py * qx
+        inside = lo < 0.5 * (t + u) < hi
+        out.append((inside, cross if inside else math.atan2(cross, px * qx + py * qy)))
+    return out
+
+
+def _arc_pieces(arc: tuple, R2: float) -> list:
+    """(inside, term) for each piece of an arc between its crossings of rho^2 = R2.
+
+    Inside, a piece from angle t to t + dt of a circle of centre c and radius
+    r gives r^2 dt + r (c_x d(sin) - c_y d(cos)); outside, its azimuth
+    change.  rho^2 = |c|^2 + r^2 + 2 r |c| cos(t - alpha), so the crossings
+    are where cos(t - alpha) = kappa, and a piece is inside where the cosine
+    at its middle is below kappa.
+    """
+    (cx, cy, _), r, phase, sweep = arc
+    hc = math.hypot(cx, cy)
+    alpha = math.atan2(cy, cx)
+    den = 2.0 * r * hc
+    kappa = ((R2 - hc * hc) - r * r) / den if den > 0 else (
+        math.inf if r * r < R2 else -math.inf)
+    pieces = [(phase, sweep)]
+    if -1.0 < kappa < 1.0:
+        two_pi = 2.0 * math.pi
+        lo, hi = sorted((phase, phase + sweep))
+        cuts = sorted(b + two_pi * k for b in (alpha - math.acos(kappa), alpha + math.acos(kappa))
+                      for k in range(math.ceil((lo - b) / two_pi),
+                                     math.floor((hi - b) / two_pi) + 1)
+                      if lo < b + two_pi * k < hi)
+        if cuts:
+            angles = [phase, *(cuts if sweep > 0 else cuts[::-1]), phase + sweep]
+            pieces = [(t, u - t) for t, u in zip(angles, angles[1:])]
+    out = []
+    for t, dt in pieces:
+        if math.cos(t + 0.5 * dt - alpha) < kappa:
+            u = t + dt
+            out.append((True, r * r * dt + r * (cx * (math.sin(u) - math.sin(t))
+                                                 - cy * (math.cos(u) - math.cos(t)))))
+        else:
+            out.append((False, arc_azimuth_change((arc[0], r, t, dt))))
+    return out
 
 
 @dataclass(frozen=True)
@@ -302,6 +412,15 @@ class GaugeGradientField(FieldExpr):
     def __call__(self, p) -> np.ndarray:
         return self.gauge.gradient(p)
 
+    def circulation(self, path) -> float:
+        """The gauge function's endpoint difference along any path; a multi-valued
+        gauge takes its endpoint values on the branch continued along the path."""
+        g = self.gauge
+        if g.multi_valued:
+            az_i, az_f = endpoint_azimuths(path)
+            return g.value(path.end, az_f) - g.value(path.start, az_i)
+        return g.value(path.end) - g.value(path.start)
+
 
 @dataclass(frozen=True)
 class LandauField(FieldExpr):
@@ -334,6 +453,14 @@ class LandauField(FieldExpr):
             raise AxisCrossing("Bawin-Burnel potential undefined on the axis")
         az = np.arctan2(y, x)
         return _stack(-B * az * x, -B * az * y, 0.0)
+
+    def circulation(self, path) -> Optional[float]:
+        """A(midpoint) . (b - a) summed over the segments of a forward polyline, exact
+        because the S, L1 and L2 potentials are linear; None for BB and other paths."""
+        if self.variant == "BB" or path.is_reversed or path.kind != "polyline":
+            return None
+        v = np.asarray(path.vertices)
+        return math.fsum((self(0.5 * (v[:-1] + v[1:])) * np.diff(v, axis=0)).ravel().tolist())
 
 
 @dataclass(frozen=True)

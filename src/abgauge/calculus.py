@@ -1,8 +1,14 @@
 """Numerical differential operators, line and flux quadrature, and checks.
 
-Line integrals use composite Gauss-Legendre along the path parameter with
-panel doubling; disc fluxes use a polar product rule with radial splits at
-known breakpoints; both double through ``extrapolation.refine`` and report
+A line integral first asks the field for its exact circulation along each
+forward arc, polyline or parametric piece (``FieldExpr.circulation``: the
+solenoid's transverse potential on arcs and polylines, the linear Landau
+potentials on polylines, gauge gradients on any path), after the same
+domain checks as quadrature; an exact value reports no nodes and a None
+estimate.  Where the field gives None, the piece is integrated by
+composite Gauss-Legendre along the path parameter with panel doubling;
+disc fluxes use a polar product rule with radial splits at known
+breakpoints; both double through ``extrapolation.refine`` and report
 |I_2n - I_n| as their estimate.  Shrinking-loop circulations extrapolate in
 the squared loop radius.  Delta-supported sources never enter any stencil or
 quadrature; their integrated contributions are added from their analytic
@@ -20,12 +26,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .analytic_fields import FieldExpr, StringField
-from .errors import DomainViolation, NoLimit
+from .errors import DomainViolation, NoLimit, NonFinite
 from .extrapolation import neville_to_zero, refine
 from .geometry import DiscSpec, PathSpec, as_points, as_xyz, require_finite
 
@@ -62,13 +68,21 @@ class DiffConfig:
 
 @dataclass(frozen=True)
 class CirculationReport:
+    """A line integral or flux; an exact value has n_points 0 and error_estimate None."""
+
     value: float
     n_points: int
-    error_estimate: float
+    error_estimate: Optional[float]
 
     def __post_init__(self):
-        if self.error_estimate < 0:
+        if self.error_estimate is not None and self.error_estimate < 0:
             raise ValueError("error estimate must be nonnegative")
+
+
+def add_estimates(*estimates: Optional[float]) -> Optional[float]:
+    """Exact sum of the estimates that are not None; None when every input is exact."""
+    known = [e for e in estimates if e is not None]
+    return math.fsum(known) if known else None
 
 
 @dataclass(frozen=True)
@@ -215,12 +229,13 @@ def _integrand(f: FieldExpr, path: PathSpec):
 
 
 def line_integral(f: FieldExpr, path: PathSpec, tol: float = 1e-9) -> CirculationReport:
-    """Work integral of f along the path, refined until |I_2n - I_n| < tol.
+    """Work integral of f along the path: exact where the field has a closed form,
+    else refined until |I_2n - I_n| < tol.
 
-    A reversed path is integrated as its forward twin on the same quadrature
-    nodes and negated, so orientation reversal is exactly antisymmetric.
-    Concatenations and polylines integrate piecewise so panel boundaries
-    align with their kinks.
+    A reversed path is integrated as its forward twin and negated, so
+    orientation reversal is exactly antisymmetric.  Concatenations integrate
+    child by child, and polylines on quadrature segment by segment, so panel
+    boundaries align with their kinks.
     """
     if path.is_reversed:
         rep = line_integral(f, path.reverse(), tol)
@@ -229,12 +244,18 @@ def line_integral(f: FieldExpr, path: PathSpec, tol: float = 1e-9) -> Circulatio
     if path.kind == "concat":
         parts = [line_integral(f, c, tol / len(path.children)) for c in path.children]
     else:
+        n_pieces = len(path.vertices) - 1 if path.kind == "polyline" else 1
+        _domain_precheck(f, path, n=max(129, 8 * n_pieces + 1))
+        exact = f.circulation(path)
+        if exact is not None:
+            if not math.isfinite(exact):
+                raise NonFinite(f"closed-form circulation along the {path.kind} is {exact}")
+            return CirculationReport(exact, 0, None)
         if path.kind == "polyline":
             verts = path.vertices
             pieces = [(PathSpec.segment(a, b), 1) for a, b in zip(verts, verts[1:])]
         else:
             pieces = [(path, 2)]
-        _domain_precheck(f, path, n=max(129, 8 * len(pieces) + 1))
         piece_tol = tol / len(pieces)
         parts = []
         for piece, start in pieces:
@@ -245,7 +266,7 @@ def line_integral(f: FieldExpr, path: PathSpec, tol: float = 1e-9) -> Circulatio
                                       f"line quadrature to tol={piece_tol:g}")
             parts.append(CirculationReport(val, (start << level) * _LINE_ORDER, abs(val - prev)))
     return CirculationReport(math.fsum(r.value for r in parts), sum(r.n_points for r in parts),
-                             math.fsum(r.error_estimate for r in parts))
+                             add_estimates(*(r.error_estimate for r in parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +370,8 @@ def shrinking_loop_circulation(f: FieldExpr, center,
     for e in eps:
         rep = line_integral(f, PathSpec.circle(c, e), tol=_SHRINK_TOL)
         circs.append(rep.value)
-        quad_err = max(quad_err, rep.error_estimate)
+        if rep.error_estimate is not None:  # an exact circulation adds no quadrature error
+            quad_err = max(quad_err, rep.error_estimate)
 
     xs = [e * e for e in eps]
     main, _ = neville_to_zero(xs[-3:], circs[-3:])

@@ -343,10 +343,17 @@ def azimuth_change(path: PathSpec) -> float:
         raise AxisCrossing(_NEAR_AXIS)
     if path.kind == "polyline":
         return _wrapped_sum(np.asarray(path.vertices))
-    # In complex xy an arc point is c + r e^(ia) = e^(ia) (r + c e^(-ia)) = c (1 + e^(ia) r/c).
-    # The first bracket (axis inside the circle) or the second (outside) stays in the right
-    # half plane; the change is the sweep (inside) or 0 plus that bracket's argument change.
-    (cx, cy, _), r, phase, sweep = path.arc
+    return arc_azimuth_change(path.arc)
+
+
+def arc_azimuth_change(arc: tuple) -> float:
+    """Azimuth change along arc data (center, radius, start phase, sweep) clear of the axis.
+
+    In complex xy an arc point is c + r e^(ia) = e^(ia) (r + c e^(-ia)) = c (1 + e^(ia) r/c).
+    The first bracket (axis inside the circle) or the second (outside) stays in the right
+    half plane; the change is the sweep (inside) or 0 plus that bracket's argument change.
+    """
+    (cx, cy, _), r, phase, sweep = arc
     inside = math.hypot(cx, cy) < r
     cos, sin = np.cos([phase, phase + sweep]), np.sin([phase, phase + sweep])
     k, m = cx * cos + cy * sin, cx * sin - cy * cos
@@ -356,7 +363,8 @@ def azimuth_change(path: PathSpec) -> float:
 
 def endpoint_azimuths(path: PathSpec) -> tuple:
     """(start, end) azimuths on the branch continued along the path."""
-    start = float(np.arctan2(path.start[1], path.start[0]))
+    x, y, _ = path.start
+    start = float(np.arctan2(y, x))
     return start, start + azimuth_change(path)
 
 

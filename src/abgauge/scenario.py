@@ -36,9 +36,9 @@ from .analytic_fields import (LANDAU_VARIANTS, BawinBurnelGauge, GaugeGradientFi
                               landau_link2)
 from .biot_savart import (NumericBiotSavartField, QuadratureConfig,
                           numeric_b_field, numeric_potential)
-from .calculus import (DiffConfig, disc_flux, helmholtz_classify, line_integral,
-                       numeric_curl, numeric_divergence, shrinking_loop_circulation,
-                       stokes_residual)
+from .calculus import (DiffConfig, add_estimates, disc_flux, helmholtz_classify,
+                       line_integral, numeric_curl, numeric_divergence,
+                       shrinking_loop_circulation, stokes_residual)
 from .errors import ComputationError, NonFinite, ParseError
 from .geometry import DiscSpec, LoopSpec, PathSpec, Point, winding_number
 from .svgmap import emit_field_map
@@ -455,7 +455,7 @@ def _h_phase_shift(scenario, params, refs):
                      (refs["gauge_a"], refs["gauge_b"]), params.get("tol", PHASE_TOL))
     extra = {"phase_a": pa.phase, "phase_b": pb.phase,
              "transverse_spread": abs(pa.transverse_part - pb.transverse_part)}
-    return pa.phase - pb.phase, pa.error_estimate + pb.error_estimate, \
+    return pa.phase - pb.phase, add_estimates(pa.error_estimate, pb.error_estimate), \
         f"{params['gauge_a']}-{params['gauge_b']}", extra
 
 

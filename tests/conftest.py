@@ -7,14 +7,21 @@ from hypothesis import HealthCheck, settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-settings.register_profile(
-    "suite",
-    max_examples=30,
-    deadline=None,
-    derandomize=True,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+# "suite" is the default; "deep" (pytest --hypothesis-profile=deep) runs ten times
+# as many examples, as the CI property step does.
+for _name, _examples in (("suite", 30), ("deep", 300)):
+    settings.register_profile(
+        _name,
+        max_examples=_examples,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
 settings.load_profile("suite")
+
+
+def pytest_configure(config):
+    settings.load_profile(config.getoption("--hypothesis-profile") or "suite")
 
 
 @pytest.fixture

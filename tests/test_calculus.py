@@ -98,9 +98,17 @@ class TestLineIntegral:
         assert rep.value == pytest.approx(simpson_path_integral(AS, path), abs=1e-9)
 
     def test_report_fields(self):
-        rep = line_integral(AS, PathSpec.circle((0, 0, 0), 2.0), tol=1e-10)
+        # A sum of fields has no closed form, so this stays on quadrature.
+        f = AS + GaugeGradientField(PolynomialGauge(((1, 1, 0, 0.5),)))
+        rep = line_integral(f, PathSpec.circle((0, 0, 0), 2.0), tol=1e-10)
         assert rep.n_points > 0
         assert rep.error_estimate >= 0.0
+
+    def test_exact_report_fields(self):
+        rep = line_integral(AS, PathSpec.circle((0, 0, 0), 2.0), tol=1e-10)
+        assert rep.value == PI
+        assert rep.n_points == 0
+        assert rep.error_estimate is None
 
     def test_no_convergence_budget(self, monkeypatch):
         # A discontinuous integrand cannot meet an absurd tolerance.

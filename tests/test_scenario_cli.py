@@ -751,6 +751,22 @@ class TestCliExitCodes:
         assert captured.out == ""
         assert not (tmp_path / "map.svg").exists()
 
+    @pytest.mark.parametrize("operation", [
+        {"op": "eval_field", "field": "big", "at": [1e150, 1, 0]},
+        {"op": "line_integral", "field": "big",
+         "path": {"kind": "segment", "from": [1e150, 1, 0], "to": [1e150, 2, 0]}},
+    ], ids=["eval_field", "line_integral"])
+    def test_overflowing_polynomial_gauge_exits_3(self, operation, tmp_path, capsys):
+        # x^4 overflows at x = 1e150, inside the coordinate bound; numpy must not warn.
+        src = tmp_path / "big.json"
+        src.write_text(json.dumps({
+            "name": "big", "operations": [operation],
+            "definitions": {"big": {"id": "custom.regular", "coefficients": [[4, 0, 0, 1]]}}}))
+        assert main(["run", str(src), "--out", str(tmp_path / "out")]) == 3
+        captured = capsys.readouterr()
+        assert "NonFinite" in captured.out and "1e+150" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
     def test_overflowing_flux_through_the_entry_point_exits_2(self, tmp_path):
         env = {**os.environ, "PYTHONPATH": str(Path(abgauge.__file__).parents[1])}
         proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "abgauge",
