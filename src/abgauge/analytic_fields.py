@@ -208,12 +208,19 @@ class FieldExpr:
 
     Instances are immutable and evaluation is pure, so concurrent use is
     fine.  Metadata drives the numerical layers: excluded axis for singular
-    gauges, radial breakpoints where smoothness fails, and the principal
+    gauges, an excluded band around the shell where ``_extra_domain_ok``
+    draws one, radial breakpoints where smoothness fails, and the principal
     branch cut for azimuth-dependent fields.
     """
 
     excludes_axis: bool = False
+    excludes_shell: bool = False
     branch_cut: bool = False
+
+    @property
+    def excludes_nothing(self) -> bool:
+        """True when ``domain_ok`` holds at every point, so no path can leave the domain."""
+        return not (self.excludes_axis or self.excludes_shell or self.branch_cut)
 
     @property
     def radial_breakpoints(self) -> tuple:
@@ -364,6 +371,8 @@ def _arc_pieces(arc: tuple, R2: float) -> list:
 class SolenoidBField(SolenoidField):
     """Uniform B e_z inside the shell, zero outside, undefined on it."""
 
+    excludes_shell = True
+
     def __call__(self, p) -> np.ndarray:
         s = self.solenoid
         x, y, _ = _components(p)
@@ -474,6 +483,10 @@ class SumField(FieldExpr):
     @property
     def branch_cut(self) -> bool:  # type: ignore[override]
         return any(t.branch_cut for t in self.terms)
+
+    @property
+    def excludes_nothing(self) -> bool:  # type: ignore[override]
+        return all(t.excludes_nothing for t in self.terms)
 
     @property
     def radial_breakpoints(self) -> tuple:

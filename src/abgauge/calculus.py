@@ -164,6 +164,10 @@ class NumericCurlField(FieldExpr):
     def radial_breakpoints(self) -> tuple:
         return self.base.radial_breakpoints
 
+    @property
+    def excludes_nothing(self) -> bool:  # type: ignore[override]
+        return self.base.excludes_nothing
+
     def __call__(self, p) -> np.ndarray:
         return numeric_curl(self.base, p, self.cfg)
 
@@ -245,7 +249,10 @@ def line_integral(f: FieldExpr, path: PathSpec, tol: float = 1e-9) -> Circulatio
         parts = [line_integral(f, c, tol / len(path.children)) for c in path.children]
     else:
         n_pieces = len(path.vertices) - 1 if path.kind == "polyline" else 1
-        _domain_precheck(f, path, n=max(129, 8 * n_pieces + 1))
+        # A field that excludes nothing refuses no path; a parametric path is still
+        # sampled, because sampling calls its user function, which may fail.
+        if path.kind == "parametric" or not f.excludes_nothing:
+            _domain_precheck(f, path, n=max(129, 8 * n_pieces + 1))
         exact = f.circulation(path)
         if exact is not None:
             if not math.isfinite(exact):

@@ -214,8 +214,6 @@ def _add_solenoid_flags(p) -> None:
 def _add_quadrature_flags(p) -> None:
     p.add_argument("--nphi", dest="quadrature.n_phi", type=int,
                    help="azimuthal order per panel")
-    p.add_argument("--half-lengths", dest="quadrature.half_lengths", type=_split(","),
-                   help="truncation half-lengths in units of R, ascending")
 
 
 def _add_output_flags(p) -> None:

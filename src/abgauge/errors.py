@@ -25,10 +25,6 @@ class TooCloseToShell(ComputationError):
     """Evaluation point inside the near-singular band around the current shell."""
 
 
-class NonConvergent(ComputationError):
-    """Truncation sequence does not approach its extrapolated limit monotonically."""
-
-
 class NonFinite(ComputationError):
     """A sampled point or integrand value is NaN or infinite."""
 

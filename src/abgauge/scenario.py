@@ -378,9 +378,7 @@ def _h_winding_number(scenario, params, refs):
 
 def _h_numeric_potential(scenario, params, refs):
     rep = numeric_potential(params["at"], scenario.solenoid, scenario.quadrature)
-    extra = {"per_length": [_vec(v) for v in rep.per_length],
-             "half_lengths": list(rep.half_lengths)}
-    return _vec(rep.value), rep.error_estimate, "solenoid.AS.numeric", extra
+    return _vec(rep.value), rep.error_estimate, "solenoid.AS.numeric", {}
 
 
 def _h_numeric_b_field(scenario, params, refs):

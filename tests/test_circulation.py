@@ -19,6 +19,7 @@ from abgauge import (BawinBurnelGauge, FieldExpr, GaugeGradientField, LandauFiel
                      PathSpec, PolynomialGauge, SingularSolenoidGauge, SolenoidSpec,
                      SolenoidTransverseField, SumField, line_integral)
 from abgauge.errors import ComputationError, DomainViolation
+from abgauge.scenario import _FIELDS, _GAUGES, scenario_from_dict
 
 TOL = 1e-12
 QUAD_TOL = 1e-13
@@ -304,3 +305,24 @@ def test_refusals_match_quadrature(field, path, reverse, monkeypatch):
         monkeypatch.setattr(cls, "circulation", lambda self, p: None)
     assert with_formulas == _outcome(field, path)
     assert with_formulas[0] is DomainViolation
+
+
+# A point on the axis, on the shell, in the quadrature potential's shell band,
+# on the branch cut, and one clear of all of them.
+DOMAIN_PROBES = np.array([[0.0, 0.0, 0.5], [1.0, 0.0, 0.0], [0.0, 1.0005, 0.0],
+                          [-2.0, 0.0, 0.3], [2.0, 1.0, -0.3]])
+SCENARIO = scenario_from_dict({"name": "domains", "operations": [{"op": "string_flux"}]})
+DOMAIN_FIELDS = {
+    **{fid: make(SCENARIO) for fid, make in _FIELDS.items()},
+    **{gid: GaugeGradientField(make(SCENARIO)) for gid, make in _GAUGES.items()},
+    "custom.regular": GaugeGradientField(PolynomialGauge(((1, 1, 0, 0.5), (0, 2, 1, -1.0)))),
+}
+
+
+@pytest.mark.parametrize("fid", DOMAIN_FIELDS)
+def test_excludes_nothing_agrees_with_domain_ok(fid):
+    # line_integral skips its sampled domain check on non-parametric paths
+    # exactly when a field excludes nothing, alone or as a term of a sum.
+    f = DOMAIN_FIELDS[fid]
+    for g in (f, SumField((SolenoidTransverseField(SCENARIO.solenoid), f))):
+        assert g.excludes_nothing == bool(g.domain_ok(DOMAIN_PROBES).all())

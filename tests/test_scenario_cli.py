@@ -101,6 +101,7 @@ class TestScenarioIngestion:
         {"solenoid": {"R": math.nan, "B": 1.0}},
         {"solenoid": {"R": 1.0, "B": math.inf}},
         {"quadrature": {"extrapolation": "richardson"}},
+        {"quadrature": {"half_lengths": [8, 16]}},
     ])
     def test_removed_or_non_finite_settings_rejected(self, overrides):
         with pytest.raises(ParseError):
@@ -212,17 +213,8 @@ class TestScenarioExecution:
         assert rep.error_estimate == abs(levels[3] - levels[2]) > 0.0
         assert disc_flux(b, disc, tol=1e-3).n_points == 100 * 2 ** 7
 
-    def test_single_half_length_estimate_is_null(self):
-        raw = minimal_scenario(quadrature={"half_lengths": [8.0]},
-                               operations=[{"op": "numeric_potential", "at": [2, 0, 0]}])
-        text = record_json(run_scenario(scenario_from_dict(raw)))
-        report = json.loads(text, parse_constant=reject_constant)["reports"][0]
-        assert report["error"] is None
-        assert report["error_estimate"] is None
-
     def test_numeric_b_field_estimate_is_null(self):
-        raw = minimal_scenario(quadrature={"half_lengths": [8.0, 16.0]},
-                               operations=[{"op": "numeric_b_field", "at": [2, 0, 0]}])
+        raw = minimal_scenario(operations=[{"op": "numeric_b_field", "at": [2, 0, 0]}])
         report = run_scenario(scenario_from_dict(raw)).reports[0]
         assert report.error is None
         assert report.error_estimate is None
@@ -497,6 +489,12 @@ class TestCli:
         p.write_text(json.dumps(minimal_scenario(quadrature={"half_lengths": [8, math.inf]})))
         assert main(["run", str(p), "--out", str(tmp_path)]) == 2
 
+    def test_run_removed_half_lengths_exits_2_naming_quadrature(self, tmp_path, capsys):
+        p = tmp_path / "hl.json"
+        p.write_text(json.dumps(minimal_scenario(quadrature={"half_lengths": [8, 16]})))
+        assert main(["run", str(p), "--out", str(tmp_path)]) == 2
+        assert "quadrature" in capsys.readouterr().err
+
     def test_run_non_finite_disc_radius_exits_2(self, tmp_path, capsys):
         raw = minimal_scenario(discs={"d": {"center": [0, 0, 0], "radius": math.nan}})
         p = tmp_path / "nan.json"
@@ -660,7 +658,7 @@ class TestCli:
 
     def test_quadrature_overrides(self, capsys):
         assert main(["eval", "solenoid.AS.numeric", "--at", "2,0,0",
-                     "--nphi", "32", "--half-lengths", "8,16,32",
+                     "--nphi", "32",
                      "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["value"][1] == pytest.approx(0.25, rel=1e-4)
@@ -686,7 +684,7 @@ class TestCli:
     @pytest.mark.parametrize("argv, defaults", [
         (["eval", "solenoid.AS", "--at=2,0,0"], ["--R=1", "--B=1", "--landau-b=1"]),
         (["eval", "solenoid.AS.numeric", "--at=2,0,0"],
-         ["--nphi=48", "--half-lengths=8,16,32,64"]),
+         ["--nphi=48"]),
         (["phase", "loop", "--circle=2"],
          ["--tol=1e-12", "--turns=1", "--charge=1", "--gauge=none", "--center=0,0,0",
           "--R=1", "--B=1", "--landau-b=1"]),
@@ -717,6 +715,12 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["eval", "solenoid.AS.numeric", "--at", "2,0,0", "--nz", "8"])
         assert exc.value.code == 2
+
+    def test_removed_half_lengths_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "solenoid.AS.numeric", "--at", "2,0,0", "--half-lengths", "8,16"])
+        assert exc.value.code == 2
+        assert "--half-lengths" in capsys.readouterr().err
 
 
 class TestCliExitCodes:
