@@ -1,18 +1,19 @@
-"""Direct quadrature of the solenoid's current integral for its potential.
+"""Direct quadrature of the solenoid's current integral for its potential and field.
 
 The shell current of the infinite solenoid is a ring of straight current
 lines.  Integrated along one line, the 1/|x - x'| kernel grows as
 2 ln 2L - 2 ln d with the half-length L, d being the in-plane distance from
 the field point to the line; the 2 ln 2L term is the same for every source
 azimuth, so it cancels against cos phi' and sin phi' in the azimuthal
-integral, and the L -> infinity limit is exact:
+integral, and the L -> infinity limit is exact.  B = curl A is the analytic
+gradient of the same kernel, with B_x = B_y = 0:
 
-    A(x) = (B R / 2 pi) * integral of (-ln d) phi_hat(phi') dphi'.
+    A(x) = (B R / 2 pi) * integral of (-ln d) phi_hat(phi') dphi',
+    B_z(x) = -(B R / 2 pi) * integral of (x - x') . r_hat(phi') / d**2 dphi'.
 
 Only the azimuth is quadrature, composite Gauss-Legendre refined toward the
 field point's azimuth and built once per order, so an (..., 3) array of
-points is one array evaluation with one log per node.  The error estimate
-is the difference from the same panels at half the order.
+points is one array evaluation; both estimate their error from half the order.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .analytic_fields import SolenoidField, SolenoidSpec
-from .calculus import DiffConfig, _gl01, numeric_curl
+from .calculus import _gl01
 from .errors import TooCloseToShell
 from .geometry import as_points
 
@@ -45,13 +46,13 @@ class QuadratureConfig:
     n_phi: int = 48
 
     def __post_init__(self):
-        if self.n_phi < 8:
-            raise ValueError("quadrature order must be at least 8")
+        if self.n_phi < 32:
+            raise ValueError("quadrature order must be at least 32")
 
 
 @dataclass(frozen=True)
 class BiotSavartResult:
-    """Quadrature potential and the largest change from the half-order rule."""
+    """Quadrature value and the largest change from the half-order rule."""
 
     value: np.ndarray
     error_estimate: float
@@ -59,85 +60,85 @@ class BiotSavartResult:
 
 @lru_cache(maxsize=32)
 def _azimuth_rule(order: int):
-    """Composite Gauss-Legendre rule as offsets from the field point's azimuth.
-
-    Panels halve toward offset 0 from pi down to pi / 2**_PHI_LEVELS; a
-    point's nodes are its azimuth plus these offsets, with the same weights.
-    """
+    """Composite Gauss-Legendre rule as offsets a from the field point's azimuth: panels
+    halve toward offset 0 from pi down to pi / 2**_PHI_LEVELS, and a point's nodes are its
+    azimuth plus these offsets, with the same weights w.  Returns a, w, sin**2(a / 2),
+    w cos a and w sin a."""
     half_widths = [math.pi / 2 ** k for k in range(_PHI_LEVELS + 1)]
     breaks = np.array(sorted([-o for o in half_widths] + [0.0] + half_widths))
     u, w = _gl01(order)
     width = np.diff(breaks)[:, None]
-    return (breaks[:-1, None] + width * u).ravel(), (width * w).ravel()
+    a, w = (breaks[:-1, None] + width * u).ravel(), (width * w).ravel()
+    return a, w, np.sin(0.5 * a) ** 2, w * np.cos(a), w * np.sin(a)
 
 
-@lru_cache(maxsize=32)
-def _kernel_rule(order: int):
-    """sin**2(offset / 2) and the weights times cos and sin of each azimuth offset."""
-    offsets, weights = _azimuth_rule(order)
-    return np.sin(0.5 * offsets) ** 2, weights * np.cos(offsets), weights * np.sin(offsets)
+def _log_kernel(xyz: np.ndarray, s: SolenoidSpec, rule) -> np.ndarray:
+    """Potential at (n, 3) points.  In the frame of the point's azimuth, the source
+    at offset a lies at squared distance (rho - R)**2 + 4 rho R sin**2(a / 2), written
+    so that nothing cancels near the shell, and its phi_hat' has components cos a
+    along phi_hat and -sin a along rho_hat."""
+    _, _, s2, wcos, wsin = rule
+    x, y = xyz[:, 0], xyz[:, 1]
+    rho, phi0 = np.hypot(x, y), np.arctan2(y, x)
+    ux, uy = np.cos(phi0), np.sin(phi0)
+    pref = s.B * s.R / (4.0 * math.pi)  # -ln d = -ln(d**2) / 2
+    log_d2 = np.log((rho - s.R)[:, None] ** 2 + (4.0 * s.R * rho)[:, None] * s2)
+    a_phi = -pref * (log_d2 * wcos).sum(axis=-1)
+    a_rho = pref * (log_d2 * wsin).sum(axis=-1)
+    return np.stack([a_rho * ux - a_phi * uy, a_rho * uy + a_phi * ux, np.zeros_like(x)], -1)
 
 
-def _outside_band(p, s: SolenoidSpec) -> np.ndarray:
-    """p as (..., 3) points; TooCloseToShell names the first within the shell band."""
+def _gradient_kernel(xyz: np.ndarray, s: SolenoidSpec, rule) -> np.ndarray:
+    """Field at (n, 3) points.  The source at offset a gives (x - x') . r_hat' =
+    rho cos a - R, written as (rho - R) - 2 rho sin**2(a / 2) so that nothing cancels
+    near the shell."""
+    _, w, s2, _, _ = rule
+    rho = np.hypot(xyz[:, 0], xyz[:, 1])[:, None]
+    gap = rho - s.R
+    out = np.zeros(xyz.shape)
+    out[:, 2] = (-s.B * s.R / (2.0 * math.pi)) * (
+        w * (gap - 2.0 * rho * s2) / (gap ** 2 + 4.0 * s.R * rho * s2)).sum(axis=-1)
+    return out
+
+
+def _quadrature(kernel, p, s: SolenoidSpec, orders) -> list:
+    """kernel at a point (3,) or (..., 3) points by each order's rule, in blocks of
+    about _BLOCK entries; TooCloseToShell names the first point within the shell band."""
     pts = as_points(p)
     rho = np.hypot(pts[..., 0], pts[..., 1])
     near = rho[np.abs(rho - s.R) <= SHELL_BAND_FRACTION * s.R]
     if near.size:
         raise TooCloseToShell(
             f"rho = {near[0]:.6g} is within the exclusion band around R = {s.R:.6g}")
-    return pts
+    flat, values = pts.reshape(-1, 3), []
+    for rule in map(_azimuth_rule, orders):
+        rows, out = max(1, _BLOCK // rule[0].size), np.empty(flat.shape)
+        for i in range(0, len(flat), rows):
+            out[i:i + rows] = kernel(flat[i:i + rows], s, rule)
+        values.append(out.reshape(pts.shape))
+    return values
 
 
-def _log_kernel(pts: np.ndarray, s: SolenoidSpec, order: int) -> np.ndarray:
-    """Infinite-solenoid potential at (..., 3) points by the order-`order` rule, in blocks.
-
-    In the frame of the point's azimuth, the source at offset a lies at
-    squared distance (rho - R)**2 + 4 rho R sin**2(a / 2), written so that
-    nothing cancels near the shell, and its phi_hat' has components
-    cos a along phi_hat and -sin a along rho_hat.
-    """
-    s2, wcos, wsin = _kernel_rule(order)
-    flat = pts.reshape(-1, 3)
-    rows = max(1, _BLOCK // s2.size)
-    pref = s.B * s.R / (4.0 * math.pi)  # -ln d = -ln(d**2) / 2
-    out = np.zeros(flat.shape)
-    for i in range(0, len(flat), rows):
-        x, y = flat[i:i + rows, 0], flat[i:i + rows, 1]
-        rho, phi0 = np.hypot(x, y), np.arctan2(y, x)
-        ux, uy = np.cos(phi0), np.sin(phi0)
-        log_d2 = np.log((rho - s.R)[:, None] ** 2 + (4.0 * s.R * rho)[:, None] * s2)
-        a_phi = -pref * (log_d2 * wcos).sum(axis=-1)
-        a_rho = pref * (log_d2 * wsin).sum(axis=-1)
-        out[i:i + rows, 0] = a_rho * ux - a_phi * uy
-        out[i:i + rows, 1] = a_rho * uy + a_phi * ux
-    return out.reshape(pts.shape)
+def _with_estimate(kernel, p, s: SolenoidSpec, cfg: QuadratureConfig) -> BiotSavartResult:
+    value, coarse = _quadrature(kernel, p, s, (cfg.n_phi, cfg.n_phi // 2))
+    return BiotSavartResult(value, float(np.max(np.abs(value - coarse), initial=0.0)))
 
 
 def numeric_potential(p, s: SolenoidSpec,
                       cfg: QuadratureConfig = QuadratureConfig()) -> BiotSavartResult:
-    """Potential of the solenoid current by quadrature of the log kernel.
-
-    p is a point (3,) or an (..., 3) array of points and value has p's
-    shape.  error_estimate is the largest component difference, over the
-    points, from the same panels at order n_phi // 2.  Points within
-    SHELL_BAND_FRACTION * R of the current shell are rejected; the closed
-    form is the reference there.
-    """
-    pts = _outside_band(p, s)
-    value = _log_kernel(pts, s, cfg.n_phi)
-    coarse = _log_kernel(pts, s, cfg.n_phi // 2)
-    return BiotSavartResult(value, float(np.max(np.abs(value - coarse), initial=0.0)))
+    """Potential of the solenoid current by quadrature of the log kernel at a point (3,)
+    or an (..., 3) array of points, value having p's shape.  error_estimate is the largest
+    component difference, over the points, from the same panels at order n_phi // 2.
+    Points within SHELL_BAND_FRACTION * R of the current shell are rejected; the closed
+    form is the reference there."""
+    return _with_estimate(_log_kernel, p, s, cfg)
 
 
-def numeric_b_field(p, s: SolenoidSpec, cfg: QuadratureConfig = QuadratureConfig(),
-                    h: float = 1e-2) -> np.ndarray:
-    """Central-difference curl of the quadrature potential at (3,) or (..., 3) points."""
-    pts = as_points(p)
-    rho = np.hypot(pts[..., 0], pts[..., 1])
-    if np.any(np.abs(rho - s.R) <= max(5.0 * h, SHELL_BAND_FRACTION * s.R)):
-        raise TooCloseToShell("curl stencil would enter the shell exclusion band")
-    return numeric_curl(NumericBiotSavartField(s, cfg), pts, DiffConfig(h, 2))
+def numeric_b_field(p, s: SolenoidSpec,
+                    cfg: QuadratureConfig = QuadratureConfig()) -> BiotSavartResult:
+    """Field of the solenoid current by quadrature of the log kernel's gradient; points,
+    shapes, error_estimate and the shell band as for numeric_potential."""
+    return _with_estimate(_gradient_kernel, p, s, cfg)
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,7 @@ class NumericBiotSavartField(SolenoidField):
     excludes_shell = True
 
     def __call__(self, p) -> np.ndarray:
-        return _log_kernel(_outside_band(p, self.solenoid), self.solenoid, self.config.n_phi)
+        return _quadrature(_log_kernel, p, self.solenoid, (self.config.n_phi,))[0]
 
     def _extra_domain_ok(self, rho: np.ndarray, margin: float) -> np.ndarray:
         return np.abs(rho - self.solenoid.R) > SHELL_BAND_FRACTION * self.solenoid.R + margin

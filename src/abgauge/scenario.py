@@ -382,9 +382,8 @@ def _h_numeric_potential(scenario, params, refs):
 
 
 def _h_numeric_b_field(scenario, params, refs):
-    val = numeric_b_field(params["at"], scenario.solenoid, scenario.quadrature,
-                          h=params.get("h", 1e-2))
-    return _vec(val), None, "solenoid.B.numeric", {}
+    rep = numeric_b_field(params["at"], scenario.solenoid, scenario.quadrature)
+    return _vec(rep.value), rep.error_estimate, "solenoid.B.numeric", {}
 
 
 def _h_disc_flux(scenario, params, refs):

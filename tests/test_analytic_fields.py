@@ -248,7 +248,7 @@ def _builtin_fields():
         "sum": SolenoidTransverseField(S) + GaugeGradientField(poly),
         "callable": CallableField(lambda p: np.array([p[1] * p[2], -p[0], 1.0])),
         "numeric curl": NumericCurlField(SolenoidTransverseField(S), DiffConfig(1e-3, 4)),
-        "numeric potential": NumericBiotSavartField(S, QuadratureConfig(n_phi=8)),
+        "numeric potential": NumericBiotSavartField(S, QuadratureConfig(n_phi=32)),
     }
 
 

@@ -21,8 +21,11 @@ def rel_error(value, exact):
 
 class TestConfig:
     def test_order_floor(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(n_phi=4)
+        # Below 32 the half-order estimate understates the error at some gaps near the shell.
+        for n_phi in (4, 8, 16, 31):
+            with pytest.raises(ValueError, match="at least 32"):
+                QuadratureConfig(n_phi=n_phi)
+        assert QuadratureConfig(n_phi=32).n_phi == 32
 
 
 class TestNumericPotential:
@@ -58,10 +61,10 @@ class TestNumericPotential:
 
 class TestTruncationDecay:
     def test_pure_quadrature_error_cascade(self):
-        p = (1.1, 0, 0.3)
+        p = (1.0011, 0, 0.3)
         ref = numeric_potential(p, S, QuadratureConfig(n_phi=128)).value
         prev = None
-        for n in (8, 16, 32):
+        for n in (32, 40, 48):
             err = float(np.max(np.abs(numeric_potential(p, S, QuadratureConfig(n)).value - ref)))
             if prev is not None and prev > 1e-13:
                 assert err <= prev / 4.0 or err < 1e-13
@@ -82,21 +85,24 @@ class TestAzimuthalSymmetry:
 
 class TestNumericBField:
     def test_interior_field(self):
-        b = numeric_b_field((0.5, 0, 0), S, CFG, h=1e-2)
-        assert np.allclose(b, (0, 0, 1), atol=1e-3)
+        rep = numeric_b_field((0.5, 0, 0), S, CFG)
+        assert np.max(np.abs(rep.value - (0, 0, 1))) <= 1e-14
+        assert rep.error_estimate <= 1e-14
 
     def test_exterior_field(self):
-        b = numeric_b_field((3, 0, 0), S, CFG, h=1e-2)
-        assert np.allclose(b, (0, 0, 0), atol=1e-3)
+        rep = numeric_b_field((3, 0, 0), S, CFG)
+        assert np.max(np.abs(rep.value)) <= 1e-14
+        assert rep.error_estimate <= 1e-14
 
     def test_z_invariance(self):
-        b1 = numeric_b_field((0.5, 0, 0), S, CFG, h=1e-2)
-        b2 = numeric_b_field((0.5, 0, 4), S, CFG, h=1e-2)
-        assert np.allclose(b1, b2, atol=2e-3)
+        b1 = numeric_b_field((0.5, 0, 0), S, CFG).value
+        b2 = numeric_b_field((0.5, 0, 4), S, CFG).value
+        assert np.array_equal(b1, b2)
 
-    def test_stencil_near_shell_rejected(self):
-        with pytest.raises(TooCloseToShell):
-            numeric_b_field((1.02, 0, 0), S, CFG, h=1e-2)
+    def test_point_near_the_shell_meets_the_closed_form(self):
+        for rho, b_z in ((1.02, 0.0), (0.98, 1.0)):
+            rep = numeric_b_field((rho, 0, 0), S, CFG)
+            assert np.max(np.abs(rep.value - (0, 0, b_z))) <= 1e-12
 
 
 class TestGaugeInvariantChain:
@@ -119,11 +125,14 @@ def _off_band_points(n, seed=3):
 class TestArrayOracle:
     def test_azimuth_rule_covers_the_circle(self):
         from abgauge.biot_savart import _azimuth_rule
-        offsets, weights = _azimuth_rule(48)
+        offsets, weights, s2, wcos, wsin = _azimuth_rule(48)
         assert offsets.shape == weights.shape == (16 * 48,)
         assert np.all(np.diff(offsets) > 0)
         assert -math.pi < offsets[0] and offsets[-1] < math.pi
         assert math.fsum(weights) == pytest.approx(2 * math.pi, rel=1e-14)
+        assert np.array_equal(s2, np.sin(offsets / 2) ** 2)
+        assert np.array_equal(wcos, weights * np.cos(offsets))
+        assert np.array_equal(wsin, weights * np.sin(offsets))
 
     def test_rows_longer_than_a_block_match_single_calls_bitwise(self):
         cfg = QuadratureConfig(n_phi=48)
@@ -146,15 +155,19 @@ class TestArrayOracle:
             numeric_potential(pts, S, CFG)
 
     def test_b_field_on_an_array_matches_single_points(self):
-        pts = np.array([[0.5, 0.0, 0.0], [3.0, 0.0, 0.0], [0.1, 0.4, 2.0]])
-        many = numeric_b_field(pts, S, CFG, h=1e-2)
-        assert many.shape == (3, 3)
-        for k, p in enumerate(pts):
-            assert np.array_equal(many[k], numeric_b_field(p, S, CFG, h=1e-2))
+        pts = _off_band_points(50)
+        rep = numeric_b_field(pts, S, CFG)
+        assert rep.value.shape == (50, 3)
+        rows = [numeric_b_field(p, S, CFG) for p in pts]
+        for k, row in enumerate(rows):
+            assert np.array_equal(rep.value[k], row.value)
+        assert rep.error_estimate == max(row.error_estimate for row in rows)
 
-    def test_b_field_stencil_near_shell_rejected_for_any_row(self):
-        with pytest.raises(TooCloseToShell):
-            numeric_b_field([(0.5, 0, 0), (1.02, 0, 0)], S, CFG, h=1e-2)
+    def test_b_field_row_in_the_shell_band_names_its_rho(self):
+        pts = _off_band_points(5)
+        pts[2] = (1.0004, 0.0, 0.5)
+        with pytest.raises(TooCloseToShell, match=r"rho = 1\.0004 is within"):
+            numeric_b_field(pts, S, CFG)
 
 
 @st.composite
@@ -171,9 +184,12 @@ def calibration_point(draw, R):
     return (rho * math.cos(phi), rho * math.sin(phi), R * draw(st.floats(-3.0, 3.0)))
 
 
+SPECS = st.sampled_from([(1.0, 1.0), (0.3, 2.0), (3.0, 0.5)])
+ORDERS = st.sampled_from([32, 40, 48, 64])
+
+
 class TestEstimateCalibration:
-    @given(st.data(), st.sampled_from([(1.0, 1.0), (0.3, 2.0), (3.0, 0.5)]),
-           st.sampled_from([8, 12, 16, 32, 48, 64]))
+    @given(st.data(), SPECS, ORDERS)
     def test_estimate_bounds_the_error(self, data, spec, n_phi):
         s = SolenoidSpec(*spec)
         p = data.draw(calibration_point(s.R))
@@ -183,3 +199,21 @@ class TestEstimateCalibration:
         assert float(np.max(np.abs(rep.value - exact))) <= rep.error_estimate + slack
         if n_phi >= 48:
             assert rep.error_estimate <= 1e-9 * abs(s.B) * s.R
+
+    @given(st.data(), SPECS, ORDERS)
+    def test_b_field_estimate_bounds_the_error(self, data, spec, n_phi):
+        s = SolenoidSpec(*spec)
+        p = data.draw(calibration_point(s.R))
+        rho = math.hypot(p[0], p[1])
+        gap = abs(rho / s.R - 1.0)
+        exact = (0.0, 0.0, s.B if rho < s.R else 0.0)
+        rep = numeric_b_field(p, s, QuadratureConfig(n_phi))
+        error = float(np.max(np.abs(rep.value - exact)))
+        # The sum of 1/d terms rounds to a few ulps of B.
+        assert error <= rep.error_estimate + 1e-14 * max(1.0, abs(s.B))
+        if n_phi >= 48 and gap >= 1.05e-3:
+            assert error <= 1e-12 * abs(s.B)
+        # Nearer the shell the order n_phi // 2 rule misses the 1/d**2 peak, so the
+        # estimate there is far above the error: up to 1.5e-6 |B| at 1.001e-3 R.
+        if n_phi >= 48 and gap >= 2.5e-3:
+            assert rep.error_estimate <= 1e-9 * abs(s.B)

@@ -213,11 +213,15 @@ class TestScenarioExecution:
         assert rep.error_estimate == abs(levels[3] - levels[2]) > 0.0
         assert disc_flux(b, disc, tol=1e-3).n_points == 100 * 2 ** 7
 
-    def test_numeric_b_field_estimate_is_null(self):
-        raw = minimal_scenario(operations=[{"op": "numeric_b_field", "at": [2, 0, 0]}])
-        report = run_scenario(scenario_from_dict(raw)).reports[0]
-        assert report.error is None
-        assert report.error_estimate is None
+    def test_numeric_b_field_estimate_bounds_its_error(self):
+        # A scenario may still send the step h of the removed stencil; it changes nothing.
+        raw = minimal_scenario(operations=[{"op": "numeric_b_field", "at": at, "h": 0.01}
+                                           for at in ([2, 0, 0], [0.99, 0.05, 0])])
+        outside, inside = run_scenario(scenario_from_dict(raw)).reports
+        for report, b_z in ((outside, 0.0), (inside, 1.0)):
+            assert report.error is None
+            assert isinstance(report.error_estimate, float)
+            assert abs(report.value[2] - b_z) <= report.error_estimate + 1e-14
 
     def test_winding_through_the_axis_is_an_operation_error(self):
         square = [[-1, 0, 0], [1, 0, 0], [1, 2, 0], [-1, 2, 0], [-1, 0, 0]]
@@ -494,6 +498,14 @@ class TestCli:
         p.write_text(json.dumps(minimal_scenario(quadrature={"half_lengths": [8, 16]})))
         assert main(["run", str(p), "--out", str(tmp_path)]) == 2
         assert "quadrature" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_phi", [8, 31])
+    def test_run_order_below_the_floor_exits_2_naming_it(self, tmp_path, capsys, n_phi):
+        p = tmp_path / "low.json"
+        p.write_text(json.dumps(minimal_scenario(quadrature={"n_phi": n_phi})))
+        assert main(["run", str(p), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"at quadrature.n_phi: {n_phi} is less than the minimum of 32" in err
 
     def test_run_non_finite_disc_radius_exits_2(self, tmp_path, capsys):
         raw = minimal_scenario(discs={"d": {"center": [0, 0, 0], "radius": math.nan}})
