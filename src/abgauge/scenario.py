@@ -11,8 +11,10 @@ separate sidecar payload so the main outputs stay byte-comparable.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass, field, replace
@@ -21,7 +23,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -48,25 +49,246 @@ def load_schema() -> dict:
     return json.loads(text)
 
 
-def _required_by_op(validator, table, instance, schema):
-    """Schema keyword: the parameters an operation of each kind must give.
+def __getattr__(name):
+    # The benchmark's span "scenario.schema_validation" hooks
+    # abgauge.scenario.jsonschema.validate, which the program never calls, so
+    # jsonschema is imported only when that attribute is read.  ROADMAP item 1
+    # repoints the span at the program's own checker and deletes this.
+    if name == "jsonschema":
+        import jsonschema
+        return jsonschema
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-    One table lookup per operation, where draft-07 if/then clauses would
-    evaluate a subschema per operation kind for every operation.
+
+# ---------------------------------------------------------------------------
+# Schema checking
+# ---------------------------------------------------------------------------
+
+# Draft-07 types: a bool is no number, and a float without a fraction is an integer.
+_JSON_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+_ANNOTATIONS = frozenset({"$schema", "title", "description"})
+# keyword: (the type it constrains, whether (instance, limit) breaks it, message)
+_LIMITS = {
+    "minimum": ("number", operator.lt, "{v!r} is less than the minimum of {m!r}"),
+    "maximum": ("number", operator.gt, "{v!r} is greater than the maximum of {m!r}"),
+    "exclusiveMinimum": ("number", operator.le,
+                         "{v!r} is less than or equal to the minimum of {m!r}"),
+    "minItems": ("array", lambda v, m: len(v) < m, "{v!r} is too short"),
+    "maxItems": ("array", lambda v, m: len(v) > m, "{v!r} is too long"),
+    "minLength": ("string", lambda v, m: len(v) < m, "{v!r} is too short"),
+}
+# jsonschema's wording at the limits 1 and 0 of a size
+_SIZE_WORDS = {("minItems", 1): "{v!r} should be non-empty",
+               ("minLength", 1): "{v!r} should be non-empty",
+               ("maxItems", 0): "{v!r} is expected to be empty"}
+_KEYWORDS = _ANNOTATIONS | set(_LIMITS) | {
+    "type", "properties", "additionalProperties", "required", "items", "enum", "const",
+    "anyOf", "oneOf", "$ref", "required_by_op"}
+
+
+class _Mismatch:
+    """Where an instance first breaks the schema.  The path grows innermost key
+    first as the failure returns up the checker.  words() forms the message only
+    for the mismatch reported, so a failing anyOf branch of a valid document
+    costs no string."""
+
+    __slots__ = ("words", "path", "wrong_type")
+
+    def __init__(self, words, wrong_type: bool = False):
+        self.words, self.path, self.wrong_type = words, [], wrong_type
+
+    def at(self, key):
+        self.path.append(key)
+        return self
+
+
+def compile_schema(schema: dict):
+    """A checker for the draft-07 subset the scenario schema uses, and its
+    required_by_op keyword: each operation kind's required parameters.
+
+    The checker returns None for a matching instance and otherwise
+    (location, message) for the first mismatch, worded as jsonschema words it.
+    Annotations are skipped; any other keyword raises ValueError here, so the
+    schema cannot use a keyword that is not checked.
     """
-    if not validator.is_type(instance, "object") or not isinstance(instance.get("op"), str):
-        return
-    for key in table.get(instance["op"], ()):
-        if key not in instance:
-            yield jsonschema.exceptions.ValidationError(f"{key!r} is a required property")
+    definitions = schema.get("definitions", {})
+    built = {}
+
+    def ref(target):
+        name = target.removeprefix("#/definitions/")
+        if name == target or name not in definitions:
+            raise ValueError(f"$ref {target!r} does not name an entry of definitions")
+        if name not in built:
+            built[name] = None
+            built[name] = build(definitions[name])
+        if built[name] is None:
+            raise ValueError(f"$ref {target!r} refers to itself")
+        return built[name]
+
+    def build(s, root=False):
+        if not isinstance(s, dict):
+            raise ValueError(f"schema {s!r} is not an object")
+        unknown = set(s) - _KEYWORDS - ({"definitions"} if root else set())
+        if unknown:
+            raise ValueError(f"unsupported schema keyword(s): {', '.join(sorted(unknown))}")
+        if "$ref" in s:
+            if set(s) - _ANNOTATIONS != {"$ref"}:
+                raise ValueError("$ref takes no sibling keywords")
+            return ref(s["$ref"])
+        kind = s.get("type")
+        if kind not in (None, *_JSON_TYPES):
+            raise ValueError(f"unsupported type {kind!r}")
+
+        def declared(applies, keyword):
+            """A keyword that constrains one type needs that type declared beside it,
+            so that its step needs no type test of its own."""
+            if kind != applies and (applies, kind) != ("number", "integer"):
+                raise ValueError(f"{keyword} needs type {applies!r} beside it")
+
+        steps = []
+        if "enum" in s:
+            steps.append(_member_of(s["enum"], lambda v: f"{v!r} is not one of {s['enum']!r}"))
+        if "const" in s:
+            steps.append(_member_of([s["const"]], lambda v: f"{s['const']!r} was expected"))
+        for key, (applies, breaks, message) in _LIMITS.items():
+            if key in s:
+                limit = s[key]
+                message = _SIZE_WORDS.get((key, limit), message)
+                declared(applies, key)
+                steps.append(lambda v, m=limit, breaks=breaks, message=message:
+                             _Mismatch(lambda: message.format(v=v, m=m)) if breaks(v, m) else None)
+
+        props = {key: build(sub) for key, sub in s.get("properties", {}).items()}
+        extra = s.get("additionalProperties", True)
+        other = build(extra) if isinstance(extra, dict) else None
+        closed = extra is False
+        required = tuple(s.get("required", ()))
+        by_op = s.get("required_by_op")
+        if props or other or closed or required or by_op:
+            declared("object", "an object keyword")
+
+            def members(v):
+                for key in required:
+                    if key not in v:
+                        return _Mismatch(lambda: f"{key!r} is a required property")
+                if by_op is not None and isinstance(v.get("op"), str):
+                    for key in by_op.get(v["op"], ()):
+                        if key not in v:
+                            return _Mismatch(lambda: f"{key!r} is a required property")
+                if closed and not v.keys() <= props.keys():
+                    extras = sorted(v.keys() - props.keys(), key=str)
+                    return _Mismatch(lambda: "Additional properties are not allowed "
+                                     f"({', '.join(map(repr, extras))} "
+                                     f"{'was' if len(extras) == 1 else 'were'} unexpected)")
+                for key, item in v.items():
+                    check = props.get(key, other)
+                    if check is not None:
+                        bad = check(item)
+                        if bad is not None:
+                            return bad.at(key)
+                return None
+            steps.append(members)
+
+        items = s.get("items")
+        if items is not None:
+            declared("array", "items")
+            # One schema per position (tuple form) or one for every element; zip stops at
+            # the instance's end, and a repeat never runs out, so it serves every call.
+            checks = [build(sub) for sub in items] if isinstance(items, list) \
+                else itertools.repeat(build(items))
+
+            def elements(v):
+                for i, (item, check) in enumerate(zip(v, checks)):
+                    bad = check(item)
+                    if bad is not None:
+                        return bad.at(i)
+                return None
+            steps.append(elements)
+
+        for key in ("anyOf", "oneOf"):
+            if key in s:
+                branches = [build(sub) for sub in s[key]]
+                steps.append(lambda v, branches=branches, subs=s[key], one=key == "oneOf":
+                             _branches(v, branches, subs, one))
+
+        is_type = _JSON_TYPES.get(kind)
+
+        def check(v):
+            if is_type is not None and not is_type(v):
+                return _Mismatch(lambda: f"{v!r} is not of type {kind!r}", wrong_type=True)
+            for step in steps:
+                bad = step(v)
+                if bad is not None:
+                    return bad
+            return None
+        return check
+
+    root = build(schema, root=True)
+    for name in definitions:  # entries no $ref names are compiled, so checked, too
+        ref(f"#/definitions/{name}")
+
+    def check(instance):
+        bad = root(instance)
+        if bad is None:
+            return None
+        return ".".join(str(k) for k in reversed(bad.path)), bad.words()
+    return check
+
+
+def _member_of(values: list, mismatch):
+    """enum or const: the instance equals one of values, a bool only a bool."""
+    if any(isinstance(x, (list, dict)) for x in values):
+        raise ValueError("enum and const take scalar values only")
+    allowed = {(isinstance(x, bool), x) for x in values}
+
+    def step(v):
+        if isinstance(v, (list, dict)) or (isinstance(v, bool), v) not in allowed:
+            return _Mismatch(lambda: mismatch(v))
+        return None
+    return step
+
+
+def _rank(mismatch: _Mismatch) -> tuple:
+    return len(mismatch.path), not mismatch.wrong_type
+
+
+def _branches(v, branches, subs, one: bool):
+    """anyOf (one False) or oneOf (one True) over compiled branches."""
+    failures, valid = [], []
+    for check, sub in zip(branches, subs):
+        bad = check(v)
+        if bad is None:
+            if not one:
+                return None
+            valid.append(sub)
+        else:
+            failures.append(bad)
+    if not valid:
+        # As jsonschema's best_match: the deepest branch failure, one whose branch admits
+        # the instance's type before one that does not; the combinator's own when the
+        # best two rank alike.
+        failures.sort(key=_rank, reverse=True)
+        if len(failures) > 1 and _rank(failures[0]) == _rank(failures[1]):
+            return _Mismatch(lambda: f"{v!r} is not valid under any of the given schemas")
+        return failures[0]
+    if len(valid) > 1:
+        return _Mismatch(lambda: f"{v!r} is valid under each of "
+                                 f"{', '.join(map(repr, valid[1:] + valid[:1]))}")
+    return None
 
 
 @lru_cache(maxsize=1)
-def _schema_validator():
-    """The scenario schema's validator, built once and reused; the tests meta-check the schema."""
-    schema = load_schema()
-    cls = jsonschema.validators.validator_for(schema)
-    return jsonschema.validators.extend(cls, {"required_by_op": _required_by_op})(schema)
+def _schema_checker():
+    """The scenario schema's checker, compiled once; the tests meta-check the schema."""
+    return compile_schema(load_schema())
 
 
 @dataclass(frozen=True)
@@ -192,22 +414,21 @@ def scenario_from_dict(raw: dict) -> Scenario:
     where = _non_finite_at(raw)
     if where is not None:
         raise ParseError(f"non-finite number at {where}")
-    error = jsonschema.exceptions.best_match(_schema_validator().iter_errors(raw))
-    if error is not None:
-        at = ".".join(str(k) for k in error.absolute_path)
-        raise ParseError(f"scenario does not match schema"
-                         f"{' at ' + at if at else ''}: {error.message}") from error
+    mismatch = _schema_checker()(raw)
+    if mismatch is not None:
+        at, message = mismatch
+        raise ParseError(f"scenario does not match schema{' at ' + at if at else ''}: {message}")
 
     try:
         solenoid = SolenoidSpec(**raw.get("solenoid", {}))
-        quadrature = QuadratureConfig(**raw.get("quadrature", {}))
+        # A float without a fraction is a schema integer; the rule tables need an int.
+        quadrature = QuadratureConfig(**{k: int(v) for k, v in raw.get("quadrature", {}).items()})
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
     definitions = {}
     for name, spec in raw.get("definitions", {}).items():
-        coeffs = tuple((int(i), int(j), int(k), float(c))
-                       for i, j, k, c in spec["coefficients"])
+        coeffs = tuple((i, j, k, float(c)) for i, j, k, c in spec["coefficients"])
         definitions[name] = PolynomialGauge(coeffs, name=name)
 
     paths = {name: _parse_geometry(_build_path, spec, f"paths.{name}")
@@ -327,7 +548,7 @@ def _sample_points(rng, n, rho_range, z_range=(-1.0, 1.0), avoid_shell=None,
                    shell_margin=0.01, avoid_cut=False) -> np.ndarray:
     """(n, 3) random points; ValueError when the shell margin rejects nearly all."""
     pts = []
-    for _ in range(1000 * (n + 1)):
+    for _ in range(1000 * (int(n) + 1)):  # n may be a float without a fraction
         if len(pts) >= n:
             break
         rho = rng.uniform(*rho_range)
