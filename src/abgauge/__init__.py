@@ -8,11 +8,10 @@ and a scenario runner that verifies the quantitative identities among them.
 from .analytic_fields import (BawinBurnelGauge, CallableField, FieldExpr,
                               GaugeGradientField, LandauField, PolynomialGauge,
                               SingularSolenoidGauge, SolenoidBField,
-                              SolenoidSpec, SolenoidTransverseField, StringCurrent,
-                              StringField, SumField, SurfaceCurrent,
-                              TransformedPotentialField, gauge_label, landau_link1,
-                              landau_link2, system_delta_sources)
-from .ab_phase import (GaugeScanRow, PhaseProbe, PhaseReport, VelocitySample,
+                              SolenoidSpec, SolenoidTransverseField, StringField,
+                              SumField, TransformedPotentialField, gauge_label,
+                              landau_link1, landau_link2)
+from .ab_phase import (PhaseProbe, PhaseReport, VelocitySample,
                        energy_cancellation, gauge_dependence_scan,
                        interaction_energy, interference_shift, loop_phase,
                        open_path_phase)
@@ -23,7 +22,7 @@ from .calculus import (CirculationReport, DiffConfig, HelmholtzReport,
                        helmholtz_classify, line_integral, numeric_curl,
                        numeric_divergence, shrinking_loop_circulation,
                        stokes_residual)
-from .geometry import (DiscSpec, LoopSpec, PathSpec, Point, azimuth_change,
+from .geometry import (DiscSpec, LoopSpec, PathSpec, azimuth_change,
                        endpoint_azimuths, winding_number)
 
 __version__ = "0.1.0"

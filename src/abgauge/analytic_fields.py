@@ -1,4 +1,4 @@
-"""Closed-form potentials, gauge functions, and delta-source descriptors.
+"""Closed-form potentials, gauge functions, and the singular gauge's axis string.
 
 Covers the infinitely long ideal solenoid (transverse potential, interior
 field, singular azimuthal gauge, gauge-transformed potential) and the
@@ -6,7 +6,9 @@ uniform-field Landau system (symmetric gauge, the two Landau gauges, the
 Bawin-Burnel gauge, and the scalar functions linking them).  Each closed
 form is written once, as the ``__call__`` of its field class or the
 ``value``/``gradient`` of its gauge class; a field's exact work integral
-along a path, where it has one, is its ``circulation``.
+along a path, where it has one, is its ``circulation``.  The string of
+flux the singular gauge leaves on the axis is ``StringField``; it has no
+pointwise values and enters a disc flux only through ``flux_through``.
 
 All vectors are returned in Cartesian components; the local cylindrical
 frame is resolved at the evaluation point.  Fields, gauge gradients and
@@ -513,19 +515,8 @@ class CallableField(FieldExpr):
 
 
 # ---------------------------------------------------------------------------
-# Delta-supported source descriptors
+# The axis string
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SurfaceCurrent:
-    """Azimuthal current sheet of strength B on the shell rho = R.
-
-    Never evaluated pointwise; it is the source term of the solenoid system
-    and the right-hand side of its circuital law.
-    """
-
-    solenoid: SolenoidSpec
-
 
 @dataclass(frozen=True)
 class StringField:
@@ -542,26 +533,3 @@ class StringField:
         if disc.contains_axis():
             return self.flux * disc.orientation
         return 0.0
-
-
-@dataclass(frozen=True)
-class StringCurrent:
-    """Axis-supported current descriptor induced by the string field.
-
-    Its presence marks the transformed system's circuital law as differing
-    from the original one; it has no pointwise values and no flux.
-    """
-
-    solenoid: SolenoidSpec
-
-
-def system_delta_sources(s: SolenoidSpec, gauge_transformed: bool = False) -> tuple:
-    """Delta-supported objects present in each description of the solenoid.
-
-    The original system carries only the surface current.  After the
-    singular gauge transformation the ledger also contains the axis string
-    field and its induced string current.
-    """
-    if gauge_transformed:
-        return (SurfaceCurrent(s), StringField(s), StringCurrent(s))
-    return (SurfaceCurrent(s),)

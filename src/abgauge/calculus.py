@@ -10,9 +10,8 @@ composite Gauss-Legendre along the path parameter with panel doubling;
 disc fluxes use a polar product rule with radial splits at known
 breakpoints; both double through ``extrapolation.refine`` and report
 |I_2n - I_n| as their estimate.  Shrinking-loop circulations extrapolate in
-the squared loop radius.  Delta-supported sources never enter any stencil or
-quadrature; their integrated contributions are added from their analytic
-accessors.
+the squared loop radius.  The axis string (``StringField``) never enters any
+stencil or quadrature; a disc flux adds its ``flux_through``.
 
 Each refinement level is one array evaluation (blocks of ``_CHUNK`` points
 beyond that): a line level's points, velocities and field values, a polar
@@ -30,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analytic_fields import FieldExpr, StringField
+from .analytic_fields import FieldExpr
 from .errors import DomainViolation, NoLimit, NonFinite
 from .extrapolation import neville_to_zero, refine
 from .geometry import DiscSpec, PathSpec, as_points, as_xyz, require_finite
@@ -283,7 +282,7 @@ def line_integral(f: FieldExpr, path: PathSpec, tol: float = 1e-9) -> Circulatio
 def _polar_flux_level(f: FieldExpr, disc: DiscSpec, redges, level: int) -> float:
     """Polar product rule on the whole (radius x angle) node grid of one level."""
     nodes, weights = _gl01(_DISC_ORDER)
-    cx, cy, cz = disc.center.x, disc.center.y, disc.center.z
+    cx, cy, cz = disc.center
     two_pi = 2.0 * math.pi
     rad_panels = 2 ** level
     ang_panels = 2 ** (level + 1)
@@ -320,10 +319,10 @@ def disc_flux(f: FieldExpr, disc: DiscSpec, deltas: Sequence = (),
     |I_2n - I_n| < tol, the reported estimate; n_points counts the last
     level's nodes.  When the disc is centered on the axis the radial
     integration is split at the field's radial breakpoints so
-    discontinuities sit on panel edges.  Enclosed string fields contribute
-    their analytic flux; current-type descriptors carry no flux.
+    discontinuities sit on panel edges.  Each delta (a ``StringField``)
+    adds its analytic flux through the disc.
     """
-    centered = math.hypot(disc.center.x, disc.center.y) <= 1e-12
+    centered = math.hypot(disc.center[0], disc.center[1]) <= 1e-12
     cuts = []
     if centered:
         cuts = sorted(b for b in f.radial_breakpoints if 0.0 < b < disc.radius)
@@ -334,8 +333,7 @@ def disc_flux(f: FieldExpr, disc: DiscSpec, deltas: Sequence = (),
         lambda a, b: abs(a - b) < tol, _DISC_MAX_DOUBLINGS, f"disc flux to tol={tol:g}")
     total = smooth * disc.orientation
     for d in deltas:
-        if isinstance(d, StringField):
-            total += d.flux_through(disc)
+        total += d.flux_through(disc)
     nodes = (len(redges) - 1) * _DISC_ORDER ** 2 * 2 ** (2 * level + 1)
     return CirculationReport(total, nodes, abs(smooth - prev))
 
@@ -381,11 +379,11 @@ def shrinking_loop_circulation(f: FieldExpr, center,
             quad_err = max(quad_err, rep.error_estimate)
 
     xs = [e * e for e in eps]
-    main, _ = neville_to_zero(xs[-3:], circs[-3:])
+    main = neville_to_zero(xs[-3:], circs[-3:])
     if len(eps) >= 4:
-        prev, _ = neville_to_zero(xs[-4:-1], circs[-4:-1])
+        prev = neville_to_zero(xs[-4:-1], circs[-4:-1])
     else:
-        prev, _ = neville_to_zero(xs[-2:], circs[-2:])
+        prev = neville_to_zero(xs[-2:], circs[-2:])
     spread = abs(float(main) - float(prev))
     if spread > _SHRINK_CAUCHY_TOL:
         raise NoLimit(

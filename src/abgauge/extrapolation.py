@@ -24,20 +24,15 @@ def refine(level_value, converged, max_levels: int, what: str):
 def neville_to_zero(xs, ys):
     """Neville tableau for the interpolating polynomial, evaluated at 0.
 
-    xs are positive step parameters (for example 1/L**2 or eps**2) and ys the
-    matching values, scalars or equal-shape arrays.  Returns (limit,
-    diagonal) where diagonal[k] is the extrapolant using the first k+1
-    points; the spread of the last two entries is the usual error estimate.
+    xs are positive step parameters (for example eps**2) and ys the matching
+    values, scalars or equal-shape arrays.  Returns the extrapolant through
+    all the points.
     """
     n = len(xs)
     if n == 0 or len(ys) != n:
         raise ValueError("need matching, nonempty xs and ys")
-    table = [[None] * n for _ in range(n)]
-    for i in range(n):
-        table[i][0] = np.asarray(ys[i], dtype=float)
+    column = [np.asarray(y, dtype=float) for y in ys]
     for j in range(1, n):
-        for i in range(j, n):
-            x_lo, x_hi = xs[i - j], xs[i]
-            table[i][j] = (x_lo * table[i][j - 1] - x_hi * table[i - 1][j - 1]) / (x_lo - x_hi)
-    diagonal = [table[i][i] for i in range(n)]
-    return diagonal[-1], diagonal
+        column = [(xs[i - j] * column[i - j + 1] - xs[i] * column[i - j]) / (xs[i - j] - xs[i])
+                  for i in range(j, n)]
+    return column[0]

@@ -1,4 +1,4 @@
-"""Points, paths, loops, and discs, with continuous-azimuth bookkeeping.
+"""Paths, loops, and discs, with continuous-azimuth bookkeeping.
 
 Paths are evaluated on arrays: ``PathSpec.points(ts)`` and
 ``PathSpec.velocities(ts)`` take an (N,) array of parameters in [0, 1] and
@@ -41,8 +41,8 @@ _VELOCITY_H = 1e-7
 
 
 def as_points(p) -> np.ndarray:
-    """Coerce a Point, a 3-vector or an (..., 3) array of points to float64."""
-    arr = p.as_array() if isinstance(p, Point) else np.asarray(p, dtype=float)
+    """Coerce a 3-vector or an (..., 3) array of points to float64."""
+    arr = np.asarray(p, dtype=float)
     if arr.shape[-1:] != (3,):
         raise ValueError(f"expected 3-vectors, got shape {arr.shape}")
     return arr
@@ -62,36 +62,11 @@ def same_point(p, q) -> bool:
 
 
 def as_xyz(point) -> np.ndarray:
-    """Coerce a Point or length-3 sequence to a float64 array (x, y, z)."""
+    """Coerce a length-3 sequence to a float64 array (x, y, z)."""
     arr = as_points(point)
     if arr.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {arr.shape}")
     return arr
-
-
-@dataclass(frozen=True)
-class Point:
-    """Cartesian point in desk units, with cylindrical accessors."""
-
-    x: float
-    y: float
-    z: float
-
-    @classmethod
-    def from_cylindrical(cls, rho: float, phi: float, z: float) -> "Point":
-        return cls(rho * math.cos(phi), rho * math.sin(phi), z)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-    @property
-    def rho(self) -> float:
-        return math.hypot(self.x, self.y)
-
-    @property
-    def phi(self) -> float:
-        """Principal azimuth in (-pi, pi]."""
-        return math.atan2(self.y, self.x)
 
 
 def require_finite(values, points, param_at, what: str, name: str = "t") -> None:
@@ -398,20 +373,21 @@ def winding_number(loop: LoopSpec) -> int:
 
 @dataclass(frozen=True)
 class DiscSpec:
-    """Flat z-normal disc used for flux integrals."""
+    """Flat z-normal disc used for flux integrals; center is a 3-vector, kept as floats."""
 
-    center: Point
+    center: tuple
     radius: float
     normal: tuple = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("disc radius must be positive")
-        c = self.center
+        c = tuple(float(v) for v in as_xyz(self.center))
+        object.__setattr__(self, "center", c)
         # As for arcs: points lie within |c_xy| + r of the axis, at height c_z.
-        if not (math.isfinite(c.z) and math.isfinite(math.hypot(c.x, c.y) + self.radius)):
+        if not (math.isfinite(c[2]) and math.isfinite(math.hypot(c[0], c[1]) + self.radius)):
             raise NonFinite(f"disc data do not give finite points: center "
-                            f"{(c.x, c.y, c.z)}, radius {self.radius}")
+                            f"{c}, radius {self.radius}")
         n = np.asarray(self.normal, dtype=float)
         if abs(np.linalg.norm(n) - 1.0) > 1e-12:
             raise ValueError("disc normal must be a unit vector")
@@ -424,9 +400,9 @@ class DiscSpec:
         return 1.0 if self.normal[2] > 0 else -1.0
 
     def contains_axis(self) -> bool:
-        return math.hypot(self.center.x, self.center.y) < self.radius
+        return math.hypot(self.center[0], self.center[1]) < self.radius
 
     def boundary(self) -> LoopSpec:
         """Rim loop oriented by the right-hand rule around the normal."""
         turns = 1 if self.orientation > 0 else -1
-        return LoopSpec.circle(self.center.as_array(), self.radius, turns=turns)
+        return LoopSpec.circle(self.center, self.radius, turns=turns)

@@ -33,15 +33,15 @@ from .ab_phase import (PHASE_TOL, PhaseProbe, VelocitySample, _phases,
 from .analytic_fields import (LANDAU_VARIANTS, BawinBurnelGauge, GaugeGradientField,
                               LandauField, PolynomialGauge, SingularSolenoidGauge,
                               SolenoidBField, SolenoidSpec, SolenoidTransverseField,
-                              StringField, TransformedPotentialField, landau_link1,
-                              landau_link2)
+                              StringField, TransformedPotentialField, gauge_label,
+                              landau_link1, landau_link2)
 from .biot_savart import (NumericBiotSavartField, QuadratureConfig,
                           numeric_b_field, numeric_potential)
 from .calculus import (DiffConfig, add_estimates, disc_flux, helmholtz_classify,
                        line_integral, numeric_curl, numeric_divergence,
                        shrinking_loop_circulation, stokes_residual)
 from .errors import ComputationError, NonFinite, ParseError
-from .geometry import DiscSpec, LoopSpec, PathSpec, Point, winding_number
+from .geometry import DiscSpec, LoopSpec, PathSpec, winding_number
 from .svgmap import emit_field_map
 
 def load_schema() -> dict:
@@ -377,7 +377,7 @@ def _build_path(spec: dict) -> PathSpec:
 
 
 def _build_disc(spec: dict) -> DiscSpec:
-    return DiscSpec(center=Point(*spec["center"]), radius=spec["radius"],
+    return DiscSpec(center=spec["center"], radius=spec["radius"],
                     normal=tuple(spec.get("normal", (0.0, 0.0, 1.0))))
 
 
@@ -418,6 +418,10 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if mismatch is not None:
         at, message = mismatch
         raise ParseError(f"scenario does not match schema{' at ' + at if at else ''}: {message}")
+    # The name becomes the record's file name under the output directory.
+    name = raw["name"]
+    if name in (".", "..") or "\0" in name or Path(name).name != name:
+        raise ParseError(f"bad scenario name at name: {name!r} is not a plain file name")
 
     try:
         solenoid = SolenoidSpec(**raw.get("solenoid", {}))
@@ -448,8 +452,6 @@ def scenario_from_dict(raw: dict) -> Scenario:
         expect = None
         if "expect" in spec:
             e = spec["expect"]
-            if "value" in e and "tol" not in e:
-                raise ParseError("expectation with a value needs a tolerance")
             expect = Expectation(value=e.get("value"), tol=e.get("tol", 0.0),
                                  classification=e.get("classification"))
         ops.append(OpRequest(index=idx, op=spec["op"], params=params, expect=expect,
@@ -671,32 +673,32 @@ def _h_interference_shift(scenario, params, refs):
 def _h_phase_shift(scenario, params, refs):
     pa, pb = _phases(_probe(scenario, params, refs), refs["path"],
                      (refs["gauge_a"], refs["gauge_b"]), params.get("tol", PHASE_TOL))
-    extra = {"phase_a": pa.phase, "phase_b": pb.phase,
-             "transverse_spread": abs(pa.transverse_part - pb.transverse_part)}
+    extra = {"phase_a": pa.phase, "phase_b": pb.phase}
     return pa.phase - pb.phase, add_estimates(pa.error_estimate, pb.error_estimate), \
         f"{params['gauge_a']}-{params['gauge_b']}", extra
 
 
 def _h_gauge_scan(scenario, params, refs):
-    rows = gauge_dependence_scan(refs["path"], refs["gauges"],
-                                 probe=_probe(scenario, params, refs),
+    gauges = refs["gauges"]
+    rows = gauge_dependence_scan(refs["path"], gauges, probe=_probe(scenario, params, refs),
                                  tol=params.get("tol", PHASE_TOL))
-    extra = {"rows": [{"gauge": r.gauge_id, "phase": r.phase,
+    extra = {"rows": [{"gauge": gauge_label(g), "phase": r.phase,
                        "transverse_part": r.transverse_part,
-                       "gauge_part": r.gauge_part} for r in rows]}
-    spread = max(r.transverse_part for r in rows) - min(r.transverse_part for r in rows)
-    return spread, 0.0, ",".join(params["gauges"]), extra
+                       "gauge_part": r.gauge_part} for g, r in zip(gauges, rows)]}
+    # The transverse part as each gauge measures it: the total minus its gauge part.
+    measured = [r.phase - r.gauge_part for r in rows]
+    return max(measured) - min(measured), 0.0, ",".join(params["gauges"]), extra
 
 
 def _h_interaction_energy(scenario, params, refs):
-    sample = VelocitySample(tuple(params["v"]), Point(*params["at"]))
+    sample = VelocitySample(tuple(params["v"]), params["at"])
     val = interaction_energy(params["model"], sample, scenario.solenoid,
                              e=params.get("e", 1.0))
     return val, 0.0, params["model"], {}
 
 
 def _h_energy_cancellation(scenario, params, refs):
-    sample = VelocitySample(tuple(params["v"]), Point(*params["at"]))
+    sample = VelocitySample(tuple(params["v"]), params["at"])
     val = energy_cancellation(sample, scenario.solenoid, e=params.get("e", 1.0))
     return val, 0.0, "boyer+virtual_photon", {}
 

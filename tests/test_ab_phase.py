@@ -1,23 +1,28 @@
+import json
 import math
-from dataclasses import replace
+from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from abgauge import (LandauField, LoopSpec, PathSpec, PhaseProbe, Point,
+from abgauge import (LandauField, LoopSpec, PathSpec, PhaseProbe,
                      PolynomialGauge, SingularSolenoidGauge, SolenoidSpec,
                      SolenoidTransverseField, VelocitySample, energy_cancellation,
                      gauge_dependence_scan, interaction_energy, interference_shift,
                      landau_link1, landau_link2, loop_phase, open_path_phase)
 import abgauge.ab_phase as ab_phase
-from abgauge.errors import ComputationError, EndpointMismatch
+from abgauge.cli import main
+from abgauge.errors import EndpointMismatch
+from abgauge.scenario import load_scenario, run_scenario
 
 from helpers import random_polynomial_gauge, simpson_path_integral
 
 S = SolenoidSpec(1.0, 1.0)
 PI = math.pi
 HALF_CIRCLE = PathSpec.arc((0, 0, 0), 2.0, 0.0, PI)
+PARTIAL_PHASE = str(resources.files("abgauge").joinpath("scenarios/partial_phase.json"))
 
 
 def assert_split_consistent(report):
@@ -185,7 +190,7 @@ class TestGaugeScan:
                   PolynomialGauge(((1, 1, 0, 1.0),), name="xy"),
                   PolynomialGauge(((1, 0, 0, 1.0),), name="x")]
         rows = gauge_dependence_scan(path, gauges, PhaseProbe(solenoid=S))
-        assert [r.gauge_id for r in rows] == ["none", "xy", "x"]
+        assert len(rows) == 3
         assert rows[0].phase == pytest.approx(0.0, abs=1e-10)
         assert rows[1].phase == pytest.approx(0.0, abs=1e-10)
         assert rows[2].phase == pytest.approx(1.0, abs=1e-8)
@@ -207,22 +212,32 @@ class TestGaugeScan:
             gauge_dependence_scan(PathSpec.circle((0, 0, 0), 2.0), [None],
                                   PhaseProbe(solenoid=S))
 
-    @pytest.mark.parametrize("shift", ["gauge_part"])
-    def test_broken_invariants_raise(self, monkeypatch, shift):
-        # A phase split whose gauge parts drift by 1e-6 from the gauge
-        # functions' endpoint shifts must be caught, also under python -O.
-        real = ab_phase._phases
+    @staticmethod
+    def drift_singular_gradient(monkeypatch, drift):
+        # The singular gauge's gradient drifts by (0, drift, 0); its gauge part, an
+        # endpoint difference of its value, does not.
+        real = SingularSolenoidGauge.gradient
+        monkeypatch.setattr(SingularSolenoidGauge, "gradient",
+                            lambda self, p, azimuth=None: real(self, p, azimuth)
+                            + np.array([0.0, drift, 0.0]))
 
-        def drifting(probe, path, gauges, tol):
-            return [rep if g is None else
-                    replace(rep, phase=rep.phase + 1e-6, **{shift: getattr(rep, shift) + 1e-6})
-                    for g, rep in zip(gauges, real(probe, path, gauges, tol))]
+    def test_drift_below_the_split_check_shows_in_the_value(self, monkeypatch):
+        # The drift moves phase - gauge_part by drift * (the arc's rise, sqrt 2), below
+        # PhaseReport's 1e-10, so only the scan's value can show it.
+        self.drift_singular_gradient(monkeypatch, 3e-11)
+        scenario = load_scenario(PARTIAL_PHASE)
+        scan = run_scenario(scenario).reports[3]
+        assert scan.op == "gauge_scan" and scan.error is None
+        assert scan.value == pytest.approx(3e-11 * math.sqrt(2), rel=1e-3, abs=0.0)
 
-        monkeypatch.setattr(ab_phase, "_phases", drifting)
-        path = PathSpec.segment((2, 0, 0), (3, 0, 0))
-        with pytest.raises(ComputationError):
-            gauge_dependence_scan(path, [None, PolynomialGauge(((1, 0, 0, 1.0),))],
-                                  PhaseProbe(solenoid=S))
+    def test_broken_invariants_raise(self, monkeypatch, tmp_path):
+        # A gauge gradient that drifts by 1e-9 must fail bundled partial_phase,
+        # also under python -O.
+        self.drift_singular_gradient(monkeypatch, 1e-9)
+        assert main(["run", PARTIAL_PHASE, "--out", str(tmp_path)]) != 0
+        record = json.loads((tmp_path / "partial_phase.json").read_text())
+        assert record["reports"][3]["op"] == "gauge_scan"
+        assert record["reports"][3]["pass"] is not True
 
     def test_transverse_integral_taken_once(self, monkeypatch):
         # One integral of A_S for the path, one of the full potential per gauge.
@@ -281,12 +296,12 @@ class TestLandauCrossCheck:
 
 class TestInteractionEnergy:
     def test_spot_values(self):
-        sample = VelocitySample((0, 0.1, 0), Point(2, 0, 0))
+        sample = VelocitySample((0, 0.1, 0), (2, 0, 0))
         assert interaction_energy("boyer", sample, S) == pytest.approx(0.025)
         assert interaction_energy("virtual_photon", sample, S) == pytest.approx(-0.025)
 
     def test_radial_velocity_orthogonal(self):
-        sample = VelocitySample((0.1, 0, 0), Point(2, 0, 0))
+        sample = VelocitySample((0.1, 0, 0), (2, 0, 0))
         assert interaction_energy("boyer", sample, S) == 0.0
         assert interaction_energy("virtual_photon", sample, S) == 0.0
 
@@ -294,23 +309,23 @@ class TestInteractionEnergy:
         for v, x in [((0, 0.1, 0), (2, 0, 0)),
                      ((0.05, 0.05, 0), (1.3, 0.7, 2)),
                      ((-0.2, 0.1, 0.3), (0.4, -0.8, 1))]:
-            sample = VelocitySample(v, Point(*x))
+            sample = VelocitySample(v, x)
             assert energy_cancellation(sample, S) == 0.0
             assert energy_cancellation(sample, S, e=-1.0) == 0.0
 
     @given(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5),
            st.floats(0.2, 4), st.floats(-3, 3))
     def test_cancellation_property(self, vx, vy, x, z):
-        sample = VelocitySample((vx, vy, 0.0), Point(x, 0.4, z))
+        sample = VelocitySample((vx, vy, 0.0), (x, 0.4, z))
         assert energy_cancellation(sample, S) == 0.0
 
     def test_unknown_model(self):
         with pytest.raises(ValueError):
-            interaction_energy("classical", VelocitySample((0, 0, 0), Point(1, 0, 0)), S)
+            interaction_energy("classical", VelocitySample((0, 0, 0), (1, 0, 0)), S)
 
     def test_speed_limit(self):
         with pytest.raises(ValueError):
-            VelocitySample((1.5, 0, 0), Point(1, 0, 0))
+            VelocitySample((1.5, 0, 0), (1, 0, 0))
 
     def test_charge_required_nonzero(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from abgauge import (BawinBurnelGauge, DiffConfig, DiscSpec, GaugeGradientField,
-                     LandauField, LoopSpec, PathSpec, PhaseProbe, Point,
+                     LandauField, LoopSpec, PathSpec, PhaseProbe,
                      QuadratureConfig, SingularSolenoidGauge, SolenoidBField,
                      SolenoidSpec, SolenoidTransverseField, StringField,
                      TransformedPotentialField, VelocitySample, disc_flux,
@@ -104,8 +104,8 @@ def test_criterion_05_string_circulation():
 def test_criterion_06_flux_cancellation():
     b = SolenoidBField(S)
     string = StringField(S)
-    full = disc_flux(b, DiscSpec(Point(0, 0, 0), 1.0), deltas=[string], tol=1e-10).value
-    half = disc_flux(b, DiscSpec(Point(0, 0, 0), 0.5), deltas=[string], tol=1e-10).value
+    full = disc_flux(b, DiscSpec((0, 0, 0), 1.0), deltas=[string], tol=1e-10).value
+    half = disc_flux(b, DiscSpec((0, 0, 0), 0.5), deltas=[string], tol=1e-10).value
     dev_full = abs(full)
     dev_half = abs(half - (PI / 4 - PI))
     report(6, dev_full <= 1e-8 and dev_half <= 1e-8,
@@ -179,14 +179,14 @@ def test_criterion_09_landau_suite():
 
 
 def test_criterion_10_interaction_energies():
-    sample = VelocitySample((0.0, 0.1, 0.0), Point(2, 0, 0))
+    sample = VelocitySample((0.0, 0.1, 0.0), (2, 0, 0))
     boyer = interaction_energy("boyer", sample, S)
     photon = interaction_energy("virtual_photon", sample, S)
     rng = np.random.default_rng(505)
     sums = []
     for _ in range(20):
         v = rng.uniform(-0.3, 0.3, size=3)
-        x = Point(*rng.uniform(-3, 3, size=3))
+        x = tuple(rng.uniform(-3, 3, size=3))
         vs = VelocitySample(tuple(v), x)
         sums.append(energy_cancellation(vs, S, e=float(rng.choice((-1.0, 1.0)))))
     ok = (boyer == pytest.approx(0.025, abs=1e-15)

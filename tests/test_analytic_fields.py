@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from abgauge import (BawinBurnelGauge, GaugeGradientField, LandauField,
                      SingularSolenoidGauge, SolenoidBField, SolenoidSpec,
-                     SolenoidTransverseField, StringCurrent, StringField,
-                     SurfaceCurrent, TransformedPotentialField, landau_link1,
-                     system_delta_sources)
+                     SolenoidTransverseField, StringField, TransformedPotentialField,
+                     landau_link1)
 from abgauge.errors import AxisCrossing, OnShell
 
 from helpers import fd_gradient
@@ -201,15 +200,6 @@ class TestStringDescriptors:
     def test_string_flux_linear_in_strength(self, b):
         assert StringField(SolenoidSpec(1.0, 2 * b)).flux == pytest.approx(
             2 * StringField(SolenoidSpec(1.0, b)).flux, rel=1e-12)
-
-    def test_delta_ledgers(self):
-        original = system_delta_sources(S, gauge_transformed=False)
-        transformed = system_delta_sources(S, gauge_transformed=True)
-        assert any(isinstance(d, SurfaceCurrent) for d in original)
-        assert not any(isinstance(d, StringCurrent) for d in original)
-        assert not any(isinstance(d, StringField) for d in original)
-        assert any(isinstance(d, StringCurrent) for d in transformed)
-        assert any(isinstance(d, StringField) for d in transformed)
 
 
 class TestFieldExprAlgebra:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from abgauge import (BawinBurnelGauge, CallableField, DiffConfig, DiscSpec,
-                     GaugeGradientField, LandauField, LoopSpec, PathSpec, Point,
+                     GaugeGradientField, LandauField, LoopSpec, PathSpec,
                      PolynomialGauge, SingularSolenoidGauge, SolenoidBField, SolenoidSpec,
                      SolenoidTransverseField, StringField, TransformedPotentialField,
                      disc_flux, helmholtz_classify, landau_link1, landau_link2,
@@ -181,28 +181,28 @@ class TestLineIntegral:
 class TestDiscFlux:
     def test_uniform_field_with_string_cancels(self):
         b = SolenoidBField(S)
-        disc = DiscSpec(Point(0, 0, 0), 1.0)
+        disc = DiscSpec((0, 0, 0), 1.0)
         total = disc_flux(b, disc, deltas=[StringField(S)], tol=1e-10).value
         assert total == pytest.approx(0.0, abs=1e-8)
 
     def test_smooth_part_alone(self):
         b = SolenoidBField(S)
-        disc = DiscSpec(Point(0, 0, 0), 0.5)
+        disc = DiscSpec((0, 0, 0), 0.5)
         assert disc_flux(b, disc, tol=1e-10).value == pytest.approx(PI / 4, abs=1e-8)
 
     def test_wide_disc_captures_all_flux(self):
         b = SolenoidBField(S)
-        disc = DiscSpec(Point(0, 0, 0), 3.0)
+        disc = DiscSpec((0, 0, 0), 3.0)
         assert disc_flux(b, disc, tol=1e-10).value == pytest.approx(PI, abs=1e-6)
 
     def test_orientation_flips_sign(self):
         b = SolenoidBField(S)
-        disc = DiscSpec(Point(0, 0, 0), 0.5, normal=(0.0, 0.0, -1.0))
+        disc = DiscSpec((0, 0, 0), 0.5, normal=(0.0, 0.0, -1.0))
         assert disc_flux(b, disc, tol=1e-10).value == pytest.approx(-PI / 4, abs=1e-8)
 
     def test_string_ignored_when_axis_outside(self):
         b = SolenoidBField(S)
-        disc = DiscSpec(Point(5, 0, 0), 1.0)
+        disc = DiscSpec((5, 0, 0), 1.0)
         total = disc_flux(b, disc, deltas=[StringField(S)], tol=1e-9).value
         assert total == pytest.approx(0.0, abs=1e-8)
 
@@ -211,17 +211,17 @@ class TestDiscFlux:
         # axis: a small off-axis interior disc sees zero flux of it.
         from abgauge import NumericCurlField
         curl_b = NumericCurlField(SolenoidBField(S), DiffConfig(h=1e-4, order=2))
-        disc = DiscSpec(Point(0.4, 0, 0), 0.15)
+        disc = DiscSpec((0.4, 0, 0), 0.15)
         assert abs(disc_flux(curl_b, disc, tol=1e-8).value) < 1e-6
 
 
 class TestStokes:
     def test_transverse_potential_through_shell(self):
-        disc = DiscSpec(Point(0, 0, 0), 2.0)
+        disc = DiscSpec((0, 0, 0), 2.0)
         assert stokes_residual(AS, disc) < 1e-5
 
     def test_uniform_field_disc_off_axis(self):
-        disc = DiscSpec(Point(4, 0, 0), 1.0)
+        disc = DiscSpec((4, 0, 0), 1.0)
         f = LandauField("S", 1.0)
         assert stokes_residual(f, disc) < 1e-5
         # Both sides are the uniform-field flux through the disc.
@@ -229,7 +229,7 @@ class TestStokes:
         assert circ.value == pytest.approx(PI, abs=1e-8)
 
     def test_pure_gradient_has_zero_residual(self):
-        disc = DiscSpec(Point(2, 1, 0), 0.8)
+        disc = DiscSpec((2, 1, 0), 0.8)
         f = GaugeGradientField(landau_link2(1.0))
         assert stokes_residual(f, disc) < 1e-8
 
@@ -341,7 +341,7 @@ class TestNonFiniteStopsRefinement:
     def test_nan_flux_integrand_names_the_polar_node(self):
         f = CallableField(lambda p: np.array([0.0, 0.0, math.nan if p[0] > 0.3 else 1.0]))
         with pytest.raises(NonFinite, match=r"flux integrand is not finite at \(r, theta\) = \["):
-            disc_flux(f, DiscSpec(Point(0, 0, 0), 1.0))
+            disc_flux(f, DiscSpec((0, 0, 0), 1.0))
 
 
 class TestStencilArrays:

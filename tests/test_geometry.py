@@ -5,24 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from abgauge import DiscSpec, LoopSpec, PathSpec, Point, winding_number
+from abgauge import DiscSpec, LoopSpec, PathSpec, winding_number
 from abgauge.errors import AxisCrossing, NonFinite, NotClosed
 from abgauge.geometry import axis_distance, azimuth_change, endpoint_azimuths, same_point
-
-
-class TestPoint:
-    def test_cylindrical_accessors(self):
-        p = Point(3.0, 4.0, 2.0)
-        assert p.rho == pytest.approx(5.0, abs=1e-15)
-        assert p.phi == pytest.approx(math.atan2(4, 3), abs=1e-15)
-
-    @given(st.floats(1e-6, 10), st.floats(-math.pi + 1e-9, math.pi - 1e-9),
-           st.floats(-5, 5))
-    def test_cylindrical_round_trip(self, rho, phi, z):
-        p = Point.from_cylindrical(rho, phi, z)
-        q = Point.from_cylindrical(p.rho, p.phi, p.z)
-        for a, b in zip(p.as_array(), q.as_array()):
-            assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
 
 class TestContinuousAzimuth:
@@ -164,22 +149,22 @@ class TestDiscSpec:
     def test_validation(self):
         from abgauge import DiscSpec
         with pytest.raises(ValueError):
-            DiscSpec(Point(0, 0, 0), -1.0)
+            DiscSpec((0, 0, 0), -1.0)
         with pytest.raises(ValueError):
-            DiscSpec(Point(0, 0, 0), 1.0, normal=(1.0, 0.0, 0.0))
+            DiscSpec((0, 0, 0), 1.0, normal=(1.0, 0.0, 0.0))
         with pytest.raises(ValueError):
-            DiscSpec(Point(0, 0, 0), 1.0, normal=(0.0, 0.0, 0.5))
+            DiscSpec((0, 0, 0), 1.0, normal=(0.0, 0.0, 0.5))
 
     def test_axis_containment(self):
         from abgauge import DiscSpec
-        assert DiscSpec(Point(0.2, 0, 0), 1.0).contains_axis()
-        assert not DiscSpec(Point(5, 0, 0), 1.0).contains_axis()
+        assert DiscSpec((0.2, 0, 0), 1.0).contains_axis()
+        assert not DiscSpec((5, 0, 0), 1.0).contains_axis()
 
     def test_boundary_orientation(self):
         from abgauge import DiscSpec
-        disc = DiscSpec(Point(0, 0, 0), 2.0)
+        disc = DiscSpec((0, 0, 0), 2.0)
         assert winding_number(disc.boundary()) == 1
-        flipped = DiscSpec(Point(0, 0, 0), 2.0, normal=(0.0, 0.0, -1.0))
+        flipped = DiscSpec((0, 0, 0), 2.0, normal=(0.0, 0.0, -1.0))
         assert winding_number(flipped.boundary()) == -1
 
 
@@ -391,9 +376,9 @@ class TestConstructorsCheckTheirData:
         lambda: PathSpec.circle((0, 0, 0), 1.0, start_phase=math.inf),
         lambda: PathSpec.arc((0, 0, 0), 1e308, 0.0, 3.0),
         lambda: PathSpec.polyline([(1e308, 0, 0), (0, 0, 0), (1e308, 0, 0)]),
-        lambda: DiscSpec(Point(1e308, 0, 0), 1e308),
-        lambda: DiscSpec(Point(0, 0, math.inf), 1.0),
-        lambda: DiscSpec(Point(0, 0, 0), math.nan),
+        lambda: DiscSpec((1e308, 0, 0), 1e308),
+        lambda: DiscSpec((0, 0, math.inf), 1.0),
+        lambda: DiscSpec((0, 0, 0), math.nan),
     ], ids=["polyline-step-overflows", "polyline-inf-vertex", "segment-nan-vertex",
             "arc-center-plus-radius-overflows", "arc-sweep-overflows", "arc-nan-z",
             "arc-nan-radius", "circle-inf-phase", "arc-speed-overflows",
@@ -410,7 +395,7 @@ class TestConstructorsCheckTheirData:
         assert np.isfinite(arc.velocities(np.linspace(0.0, 1.0, 9))).all()
         line = PathSpec.polyline([(1e307, 0, 0), (-1e307, 0, 0)])
         assert np.isfinite(line.sample(9)).all()
-        assert DiscSpec(Point(1e307, 0, 0), 1e307).radius == 1e307
+        assert DiscSpec((1e307, 0, 0), 1e307).radius == 1e307
 
 
 class TestNonFiniteSamples:

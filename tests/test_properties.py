@@ -8,7 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from abgauge import (BawinBurnelGauge, CallableField, DiffConfig, DiscSpec,
-                     GaugeGradientField, LandauField, PathSpec, Point,
+                     GaugeGradientField, LandauField, PathSpec,
                      SingularSolenoidGauge, SolenoidBField, SolenoidSpec,
                      SolenoidTransverseField, disc_flux, landau_link1, landau_link2,
                      line_integral, numeric_curl)
@@ -27,8 +27,8 @@ class TestShellContinuity:
     def test_interior_exterior_branches_meet(self, r_shell, phi):
         s = SolenoidSpec(R=r_shell, B=1.3)
         eps = 1e-13 * r_shell
-        p_in = Point.from_cylindrical(r_shell - eps, phi, 0.0)
-        p_out = Point.from_cylindrical(r_shell + eps, phi, 0.0)
+        p_in = ((r_shell - eps) * math.cos(phi), (r_shell - eps) * math.sin(phi), 0.0)
+        p_out = ((r_shell + eps) * math.cos(phi), (r_shell + eps) * math.sin(phi), 0.0)
         a_in = SolenoidTransverseField(s)(p_in)
         a_out = SolenoidTransverseField(s)(p_out)
         assert np.max(np.abs(a_in - a_out)) < 1e-12 * max(1.0, s.flux)
@@ -77,7 +77,7 @@ class TestLineIntegralAlgebra:
 class TestFluxLinearity:
     @given(st.floats(0.2, 3.0))
     def test_flux_scales_with_field_strength(self, b):
-        disc = DiscSpec(Point(0, 0, 0), 0.5)
+        disc = DiscSpec((0, 0, 0), 0.5)
         base = disc_flux(SolenoidBField(SolenoidSpec(1.0, 1.0)), disc, tol=1e-10).value
         scaled = disc_flux(SolenoidBField(SolenoidSpec(1.0, b)), disc, tol=1e-10).value
         assert scaled == pytest.approx(b * base, rel=1e-9)

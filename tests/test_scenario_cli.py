@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import abgauge
-from abgauge import (DiscSpec, LandauField, Point, SolenoidBField, SolenoidSpec,
+from abgauge import (DiscSpec, LandauField, SolenoidBField, SolenoidSpec,
                      SolenoidTransverseField, TransformedPotentialField, disc_flux)
 from abgauge import ab_phase as ab_phase_module
 from abgauge import scenario as scenario_module
@@ -141,7 +141,7 @@ class TestScenarioIngestion:
     def test_expect_needs_tolerance(self):
         raw = minimal_scenario()
         del raw["operations"][0]["expect"]["tol"]
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=re.escape("at operations.0.expect:")):
             scenario_from_dict(raw)
 
     def test_missing_file(self, tmp_path):
@@ -206,7 +206,7 @@ class TestScenarioExecution:
             discs={"d": {"center": [0.5, 0, 0], "radius": 1.0}},
             operations=[{"op": "disc_flux", "field": "solenoid.B", "disc": "d", "tol": 1e-3}])
         rep = run_scenario(scenario_from_dict(raw)).reports[0]
-        b, disc = SolenoidBField(SolenoidSpec(1.0, 1.0)), DiscSpec(Point(0.5, 0, 0), 1.0)
+        b, disc = SolenoidBField(SolenoidSpec(1.0, 1.0)), DiscSpec((0.5, 0, 0), 1.0)
         levels = [_polar_flux_level(b, disc, [0.0, 1.0], k) for k in range(4)]
         assert abs(levels[2] - levels[1]) >= 1e-3 > abs(levels[3] - levels[2])
         assert rep.value == levels[3]
@@ -474,6 +474,23 @@ class TestCli:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(bad))
         assert main(["run", str(p), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("name", ["../escaped", "sub/escaped", "sub/../escaped", ".", "..",
+                                      "nul\0byte"])
+    def test_run_refuses_a_name_that_leaves_out(self, tmp_path, capsys, name):
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps({"name": name, "operations": [{"op": "string_flux"}]}))
+        assert main(["run", str(p), "--out", str(tmp_path / "t" / "out")]) == 2
+        assert "at name" in capsys.readouterr().err
+        assert [q.name for q in tmp_path.rglob("*")] == ["s.json"]
+
+    @pytest.mark.parametrize("expect", [{}, {"tol": 1e-3}])
+    def test_run_refuses_an_expect_that_checks_nothing(self, tmp_path, capsys, expect):
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps({"name": "s", "operations": [
+            {"op": "string_flux", "expect": expect}]}))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert "at operations.0.expect:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_eval_prints_no_negative_zero(self, capsys, fmt):
