@@ -210,9 +210,9 @@ class FieldExpr:
 
     Instances are immutable and evaluation is pure, so concurrent use is
     fine.  Metadata drives the numerical layers: excluded axis for singular
-    gauges, an excluded band around the shell where ``_extra_domain_ok``
-    draws one, radial breakpoints where smoothness fails, and the principal
-    branch cut for azimuth-dependent fields.
+    gauges, the excluded shell (within SHELL_TOL, by ``_extra_domain_ok``) of
+    fields with no value on it, radial breakpoints where smoothness fails, and
+    the principal branch cut for azimuth-dependent fields.
     """
 
     excludes_axis: bool = False
@@ -266,6 +266,16 @@ class SolenoidField(FieldExpr):
     @property
     def radial_breakpoints(self) -> tuple:
         return (self.solenoid.R,)
+
+
+@dataclass(frozen=True)
+class ShellExcludedField(SolenoidField):
+    """A field of the solenoid with no value on its shell, within SHELL_TOL."""
+
+    excludes_shell = True
+
+    def _extra_domain_ok(self, rho: np.ndarray, margin: float) -> np.ndarray:
+        return np.abs(rho - self.solenoid.R) > SHELL_TOL + margin
 
 
 @dataclass(frozen=True)
@@ -370,10 +380,8 @@ def _arc_pieces(arc: tuple, R2: float) -> list:
 
 
 @dataclass(frozen=True)
-class SolenoidBField(SolenoidField):
+class SolenoidBField(ShellExcludedField):
     """Uniform B e_z inside the shell, zero outside, undefined on it."""
-
-    excludes_shell = True
 
     def __call__(self, p) -> np.ndarray:
         s = self.solenoid
@@ -382,9 +390,6 @@ class SolenoidBField(SolenoidField):
         if np.any(np.abs(rho - s.R) < SHELL_TOL):
             raise OnShell("magnetic field has no value on the current shell")
         return _stack(0.0, 0.0, np.where(rho < s.R, s.B, 0.0))
-
-    def _extra_domain_ok(self, rho: np.ndarray, margin: float) -> np.ndarray:
-        return np.abs(rho - self.solenoid.R) > SHELL_TOL + margin
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,9 @@ gradient of the same kernel, with B_x = B_y = 0:
     A(x) = (B R / 2 pi) * integral of (-ln d) phi_hat(phi') dphi',
     B_z(x) = -(B R / 2 pi) * integral of (x - x') . r_hat(phi') / d**2 dphi'.
 
-Only the azimuth is quadrature, composite Gauss-Legendre refined toward the
-field point's azimuth and built once per order, so an (..., 3) array of
-points is one array evaluation; both estimate their error from half the order.
+Only the azimuth is quadrature, composite Gauss-Legendre with panels halving toward the
+field point's azimuth down to about its gap |rho - R| from the shell, so points that share
+a level count are one array evaluation; both estimate their error from half the order.
 """
 
 from __future__ import annotations
@@ -24,16 +24,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analytic_fields import SolenoidField, SolenoidSpec
+from .analytic_fields import SHELL_TOL, ShellExcludedField, SolenoidSpec
 from .calculus import _gl01
-from .errors import TooCloseToShell
+from .errors import OnShell
 from .geometry import as_points
-
-SHELL_BAND_FRACTION = 1e-3
-
-# Dyadic panel refinement toward the source line nearest the field point:
-# azimuthal panels halve down to pi / 2**_PHI_LEVELS around its azimuth.
-_PHI_LEVELS = 7
 
 # (point x azimuth node) entries per block of the vectorized quadrature.
 _BLOCK = 4096
@@ -58,13 +52,15 @@ class BiotSavartResult:
     error_estimate: float
 
 
-@lru_cache(maxsize=32)
-def _azimuth_rule(order: int):
+# A nonzero float gap is at least R / 2**53, so no point needs more than 56 levels:
+# every level count of an (n_phi, n_phi // 2) pair of orders fits.
+@lru_cache(maxsize=128)
+def _azimuth_rule(order: int, levels: int):
     """Composite Gauss-Legendre rule as offsets a from the field point's azimuth: panels
-    halve toward offset 0 from pi down to pi / 2**_PHI_LEVELS, and a point's nodes are its
+    halve toward offset 0 from pi down to pi / 2**levels, and a point's nodes are its
     azimuth plus these offsets, with the same weights w.  Returns a, w, sin**2(a / 2),
     w cos a and w sin a."""
-    half_widths = [math.pi / 2 ** k for k in range(_PHI_LEVELS + 1)]
+    half_widths = [math.pi / 2 ** k for k in range(levels + 1)]
     breaks = np.array(sorted([-o for o in half_widths] + [0.0] + half_widths))
     u, w = _gl01(order)
     width = np.diff(breaks)[:, None]
@@ -102,16 +98,26 @@ def _gradient_kernel(xyz: np.ndarray, s: SolenoidSpec, rule) -> np.ndarray:
 
 
 def _quadrature(kernel, p, s: SolenoidSpec, orders) -> list:
-    """kernel at a point (3,) or (..., 3) points by each order's rule, in blocks of
-    about _BLOCK entries; TooCloseToShell names the first point within the shell band."""
+    """kernel at a point (3,) or (..., 3) points by each order's rule, at gap |rho - R|
+    with max(1, ceil(log2(pi R / gap)) + 1) levels, so the innermost panels span arcs of at
+    most half the gap.  Points are grouped by level, each group in blocks of about _BLOCK
+    entries; OnShell names the first point within SHELL_TOL of the shell."""
     pts = as_points(p)
-    rho = np.hypot(pts[..., 0], pts[..., 1])
-    near = rho[np.abs(rho - s.R) <= SHELL_BAND_FRACTION * s.R]
-    if near.size:
-        raise TooCloseToShell(
-            f"rho = {near[0]:.6g} is within the exclusion band around R = {s.R:.6g}")
     flat, values = pts.reshape(-1, 3), []
-    for rule in map(_azimuth_rule, orders):
+    gap = np.abs(np.hypot(flat[:, 0], flat[:, 1]) - s.R)
+    if (gap < SHELL_TOL).any():
+        raise OnShell(f"point {flat[gap < SHELL_TOL][0].tolist()} is on the current shell")
+    # gap / (pi R) = m 2**e with m in [0.5, 1), so ceil(log2(pi R / gap)) is 1 - e exactly
+    levels = np.maximum(1, 2 - np.frexp(gap / (math.pi * s.R))[1])
+    ns = set(levels.tolist())
+    if len(ns) > 1:  # each level's points as one array of their own
+        values = [np.empty(flat.shape) for _ in orders]
+        for n in ns:
+            at_n = levels == n
+            for value, part in zip(values, _quadrature(kernel, flat[at_n], s, orders)):
+                value[at_n] = part
+        return [value.reshape(pts.shape) for value in values]
+    for rule in (_azimuth_rule(order, max(ns, default=1)) for order in orders):
         rows, out = max(1, _BLOCK // rule[0].size), np.empty(flat.shape)
         for i in range(0, len(flat), rows):
             out[i:i + rows] = kernel(flat[i:i + rows], s, rule)
@@ -128,29 +134,22 @@ def numeric_potential(p, s: SolenoidSpec,
                       cfg: QuadratureConfig = QuadratureConfig()) -> BiotSavartResult:
     """Potential of the solenoid current by quadrature of the log kernel at a point (3,)
     or an (..., 3) array of points, value having p's shape.  error_estimate is the largest
-    component difference, over the points, from the same panels at order n_phi // 2.
-    Points within SHELL_BAND_FRACTION * R of the current shell are rejected; the closed
-    form is the reference there."""
+    component difference, over the points, from the same panels at order n_phi // 2."""
     return _with_estimate(_log_kernel, p, s, cfg)
 
 
 def numeric_b_field(p, s: SolenoidSpec,
                     cfg: QuadratureConfig = QuadratureConfig()) -> BiotSavartResult:
     """Field of the solenoid current by quadrature of the log kernel's gradient; points,
-    shapes, error_estimate and the shell band as for numeric_potential."""
+    shapes and error_estimate as for numeric_potential."""
     return _with_estimate(_gradient_kernel, p, s, cfg)
 
 
 @dataclass(frozen=True)
-class NumericBiotSavartField(SolenoidField):
-    """The quadrature potential as a field expression (shell band excluded)."""
+class NumericBiotSavartField(ShellExcludedField):
+    """The quadrature potential as a field expression."""
 
     config: QuadratureConfig = QuadratureConfig()
 
-    excludes_shell = True
-
     def __call__(self, p) -> np.ndarray:
         return _quadrature(_log_kernel, p, self.solenoid, (self.config.n_phi,))[0]
-
-    def _extra_domain_ok(self, rho: np.ndarray, margin: float) -> np.ndarray:
-        return np.abs(rho - self.solenoid.R) > SHELL_BAND_FRACTION * self.solenoid.R + margin

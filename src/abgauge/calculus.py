@@ -358,14 +358,14 @@ def shrinking_loop_circulation(f: FieldExpr, center,
                                ) -> ShrinkingLoopReport:
     """Circulations around shrinking circles and their extrapolated limit.
 
-    eps_list must be strictly descending.  The limit comes from a
-    polynomial fit in eps**2 through the last three radii (the smooth
-    remainder of the probed fields is quadratic in the loop radius); a
+    eps_list holds at least three strictly descending radii.  The limit
+    comes from a polynomial fit in eps**2 through the last three radii (the
+    smooth remainder of the probed fields is quadratic in the loop radius); a
     nonzero limit signals distributional curl at the center.
     """
     eps = [float(e) for e in eps_list]
-    if len(eps) < 2:
-        raise ValueError("need at least two radii")
+    if len(eps) < 3:
+        raise ValueError("need at least three radii")
     if any(b >= a for a, b in zip(eps, eps[1:])) or eps[-1] <= 0:
         raise ValueError("radii must be strictly descending and positive")
 
@@ -380,10 +380,8 @@ def shrinking_loop_circulation(f: FieldExpr, center,
 
     xs = [e * e for e in eps]
     main = neville_to_zero(xs[-3:], circs[-3:])
-    if len(eps) >= 4:
-        prev = neville_to_zero(xs[-4:-1], circs[-4:-1])
-    else:
-        prev = neville_to_zero(xs[-2:], circs[-2:])
+    earlier = slice(-4, -1) if len(eps) >= 4 else slice(-2, None)
+    prev = neville_to_zero(xs[earlier], circs[earlier])
     spread = abs(float(main) - float(prev))
     if spread > _SHRINK_CAUCHY_TOL:
         raise NoLimit(

@@ -21,10 +21,6 @@ class OnShell(ComputationError):
     """Field requested on the solenoid shell, where it has no value."""
 
 
-class TooCloseToShell(ComputationError):
-    """Evaluation point inside the near-singular band around the current shell."""
-
-
 class NonFinite(ComputationError):
     """A sampled point or integrand value is NaN or infinite."""
 

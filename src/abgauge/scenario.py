@@ -188,7 +188,7 @@ def compile_schema(schema: dict):
                     return _Mismatch(lambda: "Additional properties are not allowed "
                                      f"({', '.join(map(repr, extras))} "
                                      f"{'was' if len(extras) == 1 else 'were'} unexpected)")
-                for key, item in v.items():
+                for key, item in v.items() if props or other else ():
                     check = props.get(key, other)
                     if check is not None:
                         bad = check(item)
@@ -215,9 +215,7 @@ def compile_schema(schema: dict):
 
         for key in ("anyOf", "oneOf"):
             if key in s:
-                branches = [build(sub) for sub in s[key]]
-                steps.append(lambda v, branches=branches, subs=s[key], one=key == "oneOf":
-                             _branches(v, branches, subs, one))
+                steps.append(_branches([build(sub) for sub in s[key]], s[key], key == "oneOf"))
 
         is_type = _JSON_TYPES.get(kind)
 
@@ -260,29 +258,30 @@ def _rank(mismatch: _Mismatch) -> tuple:
     return len(mismatch.path), not mismatch.wrong_type
 
 
-def _branches(v, branches, subs, one: bool):
-    """anyOf (one False) or oneOf (one True) over compiled branches."""
-    failures, valid = [], []
-    for check, sub in zip(branches, subs):
-        bad = check(v)
-        if bad is None:
-            if not one:
+def _branches(branches, subs, one: bool):
+    """anyOf (one False) or oneOf (one True) over compiled branches; an anyOf returns at
+    the first branch that admits the instance."""
+    def step(v):
+        failures = []
+        for check in branches:
+            bad = check(v)
+            if bad is None and not one:
                 return None
-            valid.append(sub)
-        else:
             failures.append(bad)
-    if not valid:
-        # As jsonschema's best_match: the deepest branch failure, one whose branch admits
-        # the instance's type before one that does not; the combinator's own when the
-        # best two rank alike.
-        failures.sort(key=_rank, reverse=True)
-        if len(failures) > 1 and _rank(failures[0]) == _rank(failures[1]):
-            return _Mismatch(lambda: f"{v!r} is not valid under any of the given schemas")
-        return failures[0]
-    if len(valid) > 1:
-        return _Mismatch(lambda: f"{v!r} is valid under each of "
-                                 f"{', '.join(map(repr, valid[1:] + valid[:1]))}")
-    return None
+        valid = [sub for sub, bad in zip(subs, failures) if bad is None]
+        if not valid:
+            # As jsonschema's best_match: the deepest branch failure, one whose branch
+            # admits the instance's type before one that does not; the combinator's own
+            # when the best two rank alike.
+            failures.sort(key=_rank, reverse=True)
+            if len(failures) > 1 and _rank(failures[0]) == _rank(failures[1]):
+                return _Mismatch(lambda: f"{v!r} is not valid under any of the given schemas")
+            return failures[0]
+        if len(valid) > 1:
+            return _Mismatch(lambda: f"{v!r} is valid under each of "
+                                     f"{', '.join(map(repr, valid[1:] + valid[:1]))}")
+        return None
+    return step
 
 
 @lru_cache(maxsize=1)

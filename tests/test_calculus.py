@@ -265,8 +265,13 @@ class TestShrinkingLoop:
             shrinking_loop_circulation(f, (0, 0, 0))
 
     def test_radii_must_descend(self):
-        with pytest.raises(ValueError):
-            shrinking_loop_circulation(AS, (0, 0, 0), eps_list=(1e-3, 1e-2))
+        with pytest.raises(ValueError, match="descending"):
+            shrinking_loop_circulation(AS, (0, 0, 0), eps_list=(1e-3, 1e-2, 1e-1))
+
+    def test_two_radii_are_refused(self):
+        # Two radii would extrapolate the same pair twice and report a spread of 0.0.
+        with pytest.raises(ValueError, match="three radii"):
+            shrinking_loop_circulation(AS, (1.2, 0, 0), eps_list=(0.6, 0.3))
 
 
 class TestHelmholtzClassify:

@@ -307,8 +307,8 @@ def test_refusals_match_quadrature(field, path, reverse, monkeypatch):
     assert with_formulas[0] is DomainViolation
 
 
-# A point on the axis, on the shell, in the quadrature potential's shell band,
-# on the branch cut, and one clear of all of them.
+# A point on the axis, on the shell, 5e-4 R from it (where the fields that exclude the
+# shell are defined), on the branch cut, and one clear of all of them.
 DOMAIN_PROBES = np.array([[0.0, 0.0, 0.5], [1.0, 0.0, 0.0], [0.0, 1.0005, 0.0],
                           [-2.0, 0.0, 0.3], [2.0, 1.0, -0.3]])
 SCENARIO = scenario_from_dict({"name": "domains", "operations": [{"op": "string_flux"}]})

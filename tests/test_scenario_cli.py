@@ -133,6 +133,8 @@ class TestScenarioIngestion:
         ({"op": "line_integral", "field": "solenoid.AS", "path": "c2", "tol": 0},
          "at operations.0.tol: "),
         ({"op": "gauge_scan", "path": "c2"}, "at operations.0: 'gauges' is a required"),
+        ({"op": "shrinking_loop", "field": "solenoid.AS", "center": [1.2, 0, 0],
+          "eps": [0.6, 0.3]}, "at operations.0.eps: [0.6, 0.3] is too short"),
     ])
     def test_operation_parameters_checked_at_parse(self, op, where):
         with pytest.raises(ParseError, match=re.escape(where)):
@@ -172,10 +174,10 @@ class TestScenarioExecution:
 
     def test_numerical_error_exit_code(self):
         raw = minimal_scenario()
-        raw["operations"] = [{"op": "numeric_potential", "at": [1.0001, 0, 0]}]
+        raw["operations"] = [{"op": "numeric_potential", "at": [1.0, 0, 0]}]
         record = run_scenario(scenario_from_dict(raw))
         assert exit_code(record) == 3
-        assert "TooCloseToShell" in record.reports[0].error
+        assert "OnShell" in record.reports[0].error
 
     @pytest.mark.parametrize("op", [
         {"op": "shrinking_loop", "field": "gauge.sing", "eps": [1e-3, 1e-2, 1e-1]},
@@ -625,7 +627,7 @@ class TestCli:
 
     def test_run_numerical_error_exits_3(self, tmp_path):
         raw = {"name": "shell", "operations": [
-            {"op": "numeric_potential", "at": [1.0001, 0, 0]}]}
+            {"op": "numeric_potential", "at": [1.0, 0, 0]}]}
         p = tmp_path / "shell.json"
         p.write_text(json.dumps(raw))
         assert main(["run", str(p), "--out", str(tmp_path)]) == 3
@@ -700,8 +702,8 @@ class TestCli:
         assert payload["phase"] == pytest.approx(0.5 * math.atan2(1.1, -40.0), abs=1e-8)
 
     def test_error_labels(self, tmp_path, capsys):
-        assert main(["eval", "solenoid.AS.numeric", "--at", "1.0001,0,0"]) == 3
-        assert capsys.readouterr().err.startswith("numerical error: TooCloseToShell: ")
+        assert main(["eval", "solenoid.AS.numeric", "--at", "1,0,0"]) == 3
+        assert capsys.readouterr().err.startswith("numerical error: OnShell: ")
         out = tmp_path / "nodir" / "x.svg"
         assert main(["plot", "field", "solenoid.AS", "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith("operation error: FileNotFoundError: ")
@@ -774,6 +776,7 @@ class TestCliExitCodes:
          2, "paths.polyline.points"),
         (["plot", "field", "solenoid.AS", "--resolution=1", "--out=map.svg"], 2,
          "operations.0.resolution"),
+        (["string", "--eps=0.6,0.3"], 2, "operations.1.eps"),
     ])
     def test_degenerate_argv(self, argv, code, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
