@@ -15,8 +15,8 @@ from .ab_phase import (PhaseProbe, PhaseReport, VelocitySample,
                        energy_cancellation, gauge_dependence_scan,
                        interaction_energy, interference_shift, loop_phase,
                        open_path_phase)
-from .biot_savart import (BiotSavartResult, NumericBiotSavartField,
-                          QuadratureConfig, numeric_b_field, numeric_potential)
+from .biot_savart import (BiotSavartResult, NumericBiotSavartField, numeric_b_field,
+                          numeric_potential)
 from .calculus import (CirculationReport, DiffConfig, HelmholtzReport,
                        NumericCurlField, ShrinkingLoopReport, disc_flux,
                        helmholtz_classify, line_integral, numeric_curl,

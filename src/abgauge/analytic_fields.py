@@ -69,6 +69,10 @@ class SolenoidSpec:
     def flux(self) -> float:
         return math.pi * self.R ** 2 * self.B
 
+    def on_shell(self, rho, margin: float = 0.0) -> np.ndarray:
+        """Mask of the radii rho within SHELL_TOL * R, plus margin, of the shell."""
+        return np.abs(rho - self.R) <= SHELL_TOL * self.R + margin
+
 
 # ---------------------------------------------------------------------------
 # Gauge functions
@@ -210,7 +214,7 @@ class FieldExpr:
 
     Instances are immutable and evaluation is pure, so concurrent use is
     fine.  Metadata drives the numerical layers: excluded axis for singular
-    gauges, the excluded shell (within SHELL_TOL, by ``_extra_domain_ok``) of
+    gauges, the excluded shell (``SolenoidSpec.on_shell``, by ``_extra_domain_ok``) of
     fields with no value on it, radial breakpoints where smoothness fails, and
     the principal branch cut for azimuth-dependent fields.
     """
@@ -270,12 +274,12 @@ class SolenoidField(FieldExpr):
 
 @dataclass(frozen=True)
 class ShellExcludedField(SolenoidField):
-    """A field of the solenoid with no value on its shell, within SHELL_TOL."""
+    """A field of the solenoid with no value on its shell, within SHELL_TOL * R."""
 
     excludes_shell = True
 
     def _extra_domain_ok(self, rho: np.ndarray, margin: float) -> np.ndarray:
-        return np.abs(rho - self.solenoid.R) > SHELL_TOL + margin
+        return ~self.solenoid.on_shell(rho, margin)
 
 
 @dataclass(frozen=True)
@@ -387,7 +391,7 @@ class SolenoidBField(ShellExcludedField):
         s = self.solenoid
         x, y, _ = _components(p)
         rho = np.hypot(x, y)
-        if np.any(np.abs(rho - s.R) < SHELL_TOL):
+        if np.any(s.on_shell(rho)):
             raise OnShell("magnetic field has no value on the current shell")
         return _stack(0.0, 0.0, np.where(rho < s.R, s.B, 0.0))
 

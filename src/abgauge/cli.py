@@ -47,7 +47,7 @@ def _given(args, *keys) -> dict:
 
 
 def _settings(args) -> dict:
-    """Scenario entries set by the solenoid, quadrature and Landau flags given.
+    """Scenario entries set by the solenoid and Landau flags given.
 
     A dest ``section.key`` sets ``key`` of the scenario's ``section`` object.
     """
@@ -211,11 +211,6 @@ def _add_solenoid_flags(p) -> None:
                    help="uniform field for the Landau system")
 
 
-def _add_quadrature_flags(p) -> None:
-    p.add_argument("--nphi", dest="quadrature.n_phi", type=int,
-                   help="azimuthal order per panel")
-
-
 def _add_output_flags(p) -> None:
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out", help="also write the result as JSON to this file")
@@ -243,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("field")
     p.add_argument("--at", type=_vec, required=True)
     _add_solenoid_flags(p)
-    _add_quadrature_flags(p)
     _add_output_flags(p)
     p.set_defaults(fn=_cmd_eval)
 
@@ -296,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int)
     p.add_argument("--out", required=True)
     _add_solenoid_flags(p)
-    _add_quadrature_flags(p)
     p.set_defaults(fn=_cmd_plot)
 
     return parser

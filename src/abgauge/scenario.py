@@ -35,8 +35,7 @@ from .analytic_fields import (LANDAU_VARIANTS, BawinBurnelGauge, GaugeGradientFi
                               SolenoidBField, SolenoidSpec, SolenoidTransverseField,
                               StringField, TransformedPotentialField, gauge_label,
                               landau_link1, landau_link2)
-from .biot_savart import (NumericBiotSavartField, QuadratureConfig,
-                          numeric_b_field, numeric_potential)
+from .biot_savart import NumericBiotSavartField, numeric_b_field, numeric_potential
 from .calculus import (DiffConfig, add_estimates, disc_flux, helmholtz_classify,
                        line_integral, numeric_curl, numeric_divergence,
                        shrinking_loop_circulation, stokes_residual)
@@ -315,7 +314,6 @@ class Scenario:
     seed: int
     solenoid: SolenoidSpec
     landau_b: float
-    quadrature: QuadratureConfig
     definitions: dict
     paths: dict
     discs: dict
@@ -424,8 +422,6 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
     try:
         solenoid = SolenoidSpec(**raw.get("solenoid", {}))
-        # A float without a fraction is a schema integer; the rule tables need an int.
-        quadrature = QuadratureConfig(**{k: int(v) for k, v in raw.get("quadrature", {}).items()})
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -442,7 +438,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     scenario = Scenario(
         name=raw["name"], paper_claim=raw.get("paper_claim", ""),
         seed=raw.get("seed", 0), solenoid=solenoid,
-        landau_b=raw.get("landau_b", 1.0), quadrature=quadrature,
+        landau_b=raw.get("landau_b", 1.0),
         definitions=definitions, paths=paths, discs=discs, operations=(),
         output_format=raw.get("output", {}).get("format", "json"))
     ops = []
@@ -510,7 +506,7 @@ _FIELDS = {
     "solenoid.AS": lambda sc: SolenoidTransverseField(sc.solenoid),
     "solenoid.Aprime": lambda sc: TransformedPotentialField(sc.solenoid),
     "solenoid.B": lambda sc: SolenoidBField(sc.solenoid),
-    "solenoid.AS.numeric": lambda sc: NumericBiotSavartField(sc.solenoid, sc.quadrature),
+    "solenoid.AS.numeric": lambda sc: NumericBiotSavartField(sc.solenoid),
     **{f"landau.{v}": lambda sc, v=v: LandauField(v, sc.landau_b) for v in LANDAU_VARIANTS},
 }
 
@@ -599,12 +595,12 @@ def _h_winding_number(scenario, params, refs):
 
 
 def _h_numeric_potential(scenario, params, refs):
-    rep = numeric_potential(params["at"], scenario.solenoid, scenario.quadrature)
+    rep = numeric_potential(params["at"], scenario.solenoid)
     return _vec(rep.value), rep.error_estimate, "solenoid.AS.numeric", {}
 
 
 def _h_numeric_b_field(scenario, params, refs):
-    rep = numeric_b_field(params["at"], scenario.solenoid, scenario.quadrature)
+    rep = numeric_b_field(params["at"], scenario.solenoid)
     return _vec(rep.value), rep.error_estimate, "solenoid.B.numeric", {}
 
 

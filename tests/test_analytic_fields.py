@@ -223,8 +223,7 @@ class TestFieldExprAlgebra:
 
 
 def _builtin_fields():
-    from abgauge import (CallableField, DiffConfig, NumericBiotSavartField,
-                         PolynomialGauge, QuadratureConfig)
+    from abgauge import CallableField, DiffConfig, NumericBiotSavartField, PolynomialGauge
     from abgauge.calculus import NumericCurlField
     poly = PolynomialGauge(((2, 1, 0, 0.7), (0, 0, 3, -0.2), (1, 0, 0, 1.5)), name="p")
     return {
@@ -238,7 +237,7 @@ def _builtin_fields():
         "sum": SolenoidTransverseField(S) + GaugeGradientField(poly),
         "callable": CallableField(lambda p: np.array([p[1] * p[2], -p[0], 1.0])),
         "numeric curl": NumericCurlField(SolenoidTransverseField(S), DiffConfig(1e-3, 4)),
-        "numeric potential": NumericBiotSavartField(S, QuadratureConfig(n_phi=32)),
+        "numeric potential": NumericBiotSavartField(S),
     }
 
 

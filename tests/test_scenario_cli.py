@@ -518,13 +518,24 @@ class TestCli:
         assert main(["run", str(p), "--out", str(tmp_path)]) == 2
         assert "quadrature" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("n_phi", [8, 31])
-    def test_run_order_below_the_floor_exits_2_naming_it(self, tmp_path, capsys, n_phi):
-        p = tmp_path / "low.json"
+    @pytest.mark.parametrize("n_phi", [8, 48])
+    def test_run_removed_quadrature_exits_2_naming_it(self, tmp_path, capsys, n_phi):
+        # The oracle's order is fixed; the default 48 is refused like any other.
+        p = tmp_path / "nphi.json"
         p.write_text(json.dumps(minimal_scenario(quadrature={"n_phi": n_phi})))
         assert main(["run", str(p), "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert f"at quadrature.n_phi: {n_phi} is less than the minimum of 32" in err
+        assert "Additional properties are not allowed ('quadrature' was unexpected)" \
+            in capsys.readouterr().err
+
+    def test_run_misspelled_operation_key_exits_2_naming_it(self, tmp_path, capsys):
+        raw = minimal_scenario()
+        raw["operations"] = [{"op": "line_integral", "field": "solenoid.AS", "path": "c2",
+                              "tolerance": 1e-2}]
+        p = tmp_path / "typo.json"
+        p.write_text(json.dumps(raw))
+        assert main(["run", str(p), "--out", str(tmp_path)]) == 2
+        assert "at operations.0: Additional properties are not allowed " \
+            "('tolerance' was unexpected)" in capsys.readouterr().err
 
     def test_run_non_finite_disc_radius_exits_2(self, tmp_path, capsys):
         raw = minimal_scenario(discs={"d": {"center": [0, 0, 0], "radius": math.nan}})
@@ -688,11 +699,13 @@ class TestCli:
         assert out.exists()
 
     def test_quadrature_overrides(self, capsys):
-        assert main(["eval", "solenoid.AS.numeric", "--at", "2,0,0",
-                     "--nphi", "32",
-                     "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["value"][1] == pytest.approx(0.25, rel=1e-4)
+        # The oracle's order is fixed, so --nphi is a usage error on eval and plot.
+        for argv in (["eval", "solenoid.AS.numeric", "--at", "2,0,0"],
+                     ["plot", "field", "solenoid.AS.numeric", "--out", "map.svg"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--nphi", "48"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --nphi 48" in capsys.readouterr().err
 
     def test_phase_open_uneven_polyline(self, capsys):
         verts = ";".join(f"2,{0.1 * k:.1f},0" for k in range(11)) + ";-40,1.1,0"
@@ -714,8 +727,7 @@ class TestCli:
     # engine defaults to written out: the output is the same byte for byte.
     @pytest.mark.parametrize("argv, defaults", [
         (["eval", "solenoid.AS", "--at=2,0,0"], ["--R=1", "--B=1", "--landau-b=1"]),
-        (["eval", "solenoid.AS.numeric", "--at=2,0,0"],
-         ["--nphi=48"]),
+        (["eval", "solenoid.AS.numeric", "--at=2,0,0"], ["--R=1", "--B=1", "--landau-b=1"]),
         (["phase", "loop", "--circle=2"],
          ["--tol=1e-12", "--turns=1", "--charge=1", "--gauge=none", "--center=0,0,0",
           "--R=1", "--B=1", "--landau-b=1"]),

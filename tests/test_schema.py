@@ -7,6 +7,7 @@ are the bundled scenarios, the benchmark generator's requests, the Hypothesis
 exit-code corpus, and one-field mutations of each.
 """
 
+import ast
 import copy
 import json
 import math
@@ -320,8 +321,8 @@ def _poly(terms):
 EXP_MAX = _node("definitions", "exponent", "maximum")
 BEYOND_EACH_BOUND = [
     (_scenario(seed=_node("properties", "seed", "maximum") + 1), "seed"),
-    (_scenario(quadrature={"n_phi": _node("properties", "quadrature", "properties",
-                                          "n_phi", "maximum") + 1}), "quadrature.n_phi"),
+    (_scenario(paths={"c": {"kind": "circle", "radius": 10 * _node(*PATH, "radius", "maximum")}}),
+     "paths.c.radius"),
     (_poly([[1, 0, 0, 1.0]] * (_node("properties", "definitions", "additionalProperties",
                                       "properties", "coefficients", "maxItems") + 1)),
      "definitions.p.coefficients"),
@@ -378,9 +379,9 @@ def test_polynomial_exponents_are_non_negative_integers(term, tmp_path, capsys):
 
 @pytest.mark.parametrize("raw, key", [
     (_op(op="curl_scan", field="solenoid.AS", n=3), ("operations", 0, "n")),
-    (_scenario(quadrature={"n_phi": 48},
-               operations=[{"op": "numeric_potential", "at": [2.0, 0.5, 0.0]}]),
-     ("quadrature", "n_phi")),
+    (_scenario(paths={"c": {"kind": "circle", "radius": 2.0, "turns": 2}},
+               operations=[{"op": "loop_phase", "loop": "c"}]),
+     ("paths", "c", "turns")),
     (_poly([[2, 1, 0, 0.5]]), ("definitions", "p", "coefficients", 0, 0)),
 ])
 def test_a_float_without_a_fraction_runs_as_its_integer(raw, key):
@@ -392,3 +393,48 @@ def test_a_float_without_a_fraction_runs_as_its_integer(raw, key):
     parent[key[-1]] = float(parent[key[-1]])
     assert record_json(run_scenario(scenario_from_dict(as_float))) == \
         record_json(run_scenario(scenario_from_dict(raw)))
+
+
+# ---------------------------------------------------------------------------
+# Declared keys: every one is read, and every key read is declared
+# ---------------------------------------------------------------------------
+
+def _keys_read() -> dict:
+    """The string keys scenario.py reads from each of params, raw and spec, by subscript
+    or .get(); the reference parameters of _REF_KINDS count as read from params."""
+    tree = ast.parse(Path(scenario_module.__file__).read_text(encoding="utf-8"))
+    read = {"params": set(), "raw": set(), "spec": set()}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "_REF_KINDS":
+            read["params"].update(key.value for key in node.value.keys)
+            continue
+        if isinstance(node, ast.Subscript):
+            holder, key = node.value, node.slice
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "get" and node.args:
+            holder, key = node.func.value, node.args[0]
+        else:
+            continue
+        if isinstance(holder, ast.Name) and holder.id in read \
+                and isinstance(key, ast.Constant) and isinstance(key.value, str):
+            read[holder.id].add(key.value)
+    return read
+
+
+class TestDeclaredKeys:
+    READ = _keys_read()
+
+    def test_every_top_level_key_is_read_and_declared(self):
+        assert set(SCHEMA["properties"]) == self.READ["raw"]
+
+    def test_every_operation_key_is_read(self):
+        declared = set(_node(*OP))
+        assert declared - self.READ["params"] == {"op", "expect"}
+        assert {"op", "expect"} <= self.READ["spec"]
+
+    def test_every_key_a_handler_reads_is_declared(self):
+        assert self.READ["params"] <= set(_node(*OP))
+
+    def test_every_path_and_disc_key_is_read(self):
+        declared = set(_node(*PATH)) | set(_node("definitions", "disc", "properties"))
+        assert declared <= self.READ["spec"]
