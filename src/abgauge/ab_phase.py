@@ -64,8 +64,9 @@ class PhaseReport:
     phase - transverse_part - gauge_part is a genuine consistency residual:
     the total comes from integrating the full potential, the parts from the
     split routes.  Construction rejects reports where the two routes drift
-    apart by more than 1e-10.  error_estimate is None when every integral
-    behind the phase is exact.
+    apart by 1e-10 or more, relative to the largest of 1 and the three
+    magnitudes, so that rounding at a large scale passes.  error_estimate is
+    None when every integral behind the phase is exact.
     """
 
     phase: float
@@ -78,9 +79,11 @@ class PhaseReport:
 
     def __post_init__(self):
         residual = abs(self.phase - self.transverse_part - self.gauge_part)
-        if residual >= 1e-10:
+        bound = 1e-10 * max(1.0, abs(self.phase), abs(self.transverse_part),
+                            abs(self.gauge_part))
+        if residual >= bound:
             raise ValueError(
-                f"phase split inconsistent: residual {residual:.3e} >= 1e-10")
+                f"phase split inconsistent: residual {residual:.3e} >= {bound:.3e}")
 
 
 @dataclass(frozen=True)

@@ -255,7 +255,7 @@ class FieldExpr:
     def circulation(self, path) -> Optional[float]:
         """Exact work integral along a forward path, or None with no closed form there.
 
-        ``calculus.line_integral`` resolves reversal and concatenation first and
+        ``calculus.line_integral`` resolves reversal first and
         integrates by quadrature where this gives None.
         """
         return None

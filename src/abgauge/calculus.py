@@ -236,41 +236,37 @@ def line_integral(f: FieldExpr, path: PathSpec, tol: float = 1e-9) -> Circulatio
     else refined until |I_2n - I_n| < tol.
 
     A reversed path is integrated as its forward twin and negated, so
-    orientation reversal is exactly antisymmetric.  Concatenations integrate
-    child by child, and polylines on quadrature segment by segment, so panel
-    boundaries align with their kinks.
+    orientation reversal is exactly antisymmetric.  Polylines on quadrature
+    integrate segment by segment, so panel boundaries align with their kinks.
     """
     if path.is_reversed:
         rep = line_integral(f, path.reverse(), tol)
         return CirculationReport(-rep.value, rep.n_points, rep.error_estimate)
 
-    if path.kind == "concat":
-        parts = [line_integral(f, c, tol / len(path.children)) for c in path.children]
+    n_pieces = len(path.vertices) - 1 if path.kind == "polyline" else 1
+    # A field that excludes nothing refuses no path; a parametric path is still
+    # sampled, because sampling calls its user function, which may fail.
+    if path.kind == "parametric" or not f.excludes_nothing:
+        _domain_precheck(f, path, n=max(129, 8 * n_pieces + 1))
+    exact = f.circulation(path)
+    if exact is not None:
+        if not math.isfinite(exact):
+            raise NonFinite(f"closed-form circulation along the {path.kind} is {exact}")
+        return CirculationReport(exact, 0, None)
+    if path.kind == "polyline":
+        verts = path.vertices
+        pieces = [(PathSpec.segment(a, b), 1) for a, b in zip(verts, verts[1:])]
     else:
-        n_pieces = len(path.vertices) - 1 if path.kind == "polyline" else 1
-        # A field that excludes nothing refuses no path; a parametric path is still
-        # sampled, because sampling calls its user function, which may fail.
-        if path.kind == "parametric" or not f.excludes_nothing:
-            _domain_precheck(f, path, n=max(129, 8 * n_pieces + 1))
-        exact = f.circulation(path)
-        if exact is not None:
-            if not math.isfinite(exact):
-                raise NonFinite(f"closed-form circulation along the {path.kind} is {exact}")
-            return CirculationReport(exact, 0, None)
-        if path.kind == "polyline":
-            verts = path.vertices
-            pieces = [(PathSpec.segment(a, b), 1) for a, b in zip(verts, verts[1:])]
-        else:
-            pieces = [(path, 2)]
-        piece_tol = tol / len(pieces)
-        parts = []
-        for piece, start in pieces:
-            g = _integrand(f, piece)
-            val, prev, level = refine(lambda k: _composite(g, start << k, _LINE_ORDER),
-                                      lambda a, b: abs(a - b) < piece_tol,
-                                      _LINE_MAX_DOUBLINGS,
-                                      f"line quadrature to tol={piece_tol:g}")
-            parts.append(CirculationReport(val, (start << level) * _LINE_ORDER, abs(val - prev)))
+        pieces = [(path, 2)]
+    piece_tol = tol / len(pieces)
+    parts = []
+    for piece, start in pieces:
+        g = _integrand(f, piece)
+        val, prev, level = refine(lambda k: _composite(g, start << k, _LINE_ORDER),
+                                  lambda a, b: abs(a - b) < piece_tol,
+                                  _LINE_MAX_DOUBLINGS,
+                                  f"line quadrature to tol={piece_tol:g}")
+        parts.append(CirculationReport(val, (start << level) * _LINE_ORDER, abs(val - prev)))
     return CirculationReport(math.fsum(r.value for r in parts), sum(r.n_points for r in parts),
                              add_estimates(*(r.error_estimate for r in parts)))
 

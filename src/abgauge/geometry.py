@@ -36,9 +36,6 @@ _N_SAMPLES = 4096
 _MAX_DOUBLINGS = 8
 _AZIMUTH_RTOL = 1e-9
 
-# Step for the numeric fallback of parametric-path velocities.
-_VELOCITY_H = 1e-7
-
 
 def as_points(p) -> np.ndarray:
     """Coerce a 3-vector or an (..., 3) array of points to float64."""
@@ -86,27 +83,27 @@ def require_finite(values, points, param_at, what: str, name: str = "t") -> None
 class PathSpec:
     """Oriented curve over the unit parameter interval.
 
-    Four storage kinds: a circular arc stored as data (center, radius,
+    Three storage kinds: a circular arc stored as data (center, radius,
     start phase, sweep; a circle is an arc of sweep 2 pi turns), a
-    parametric map of one parameter (optionally with an analytic
-    derivative), a polyline over explicit vertices, or a concatenation of
-    sub-paths.  Reversal is a flag, so that integrators can evaluate the
-    underlying forward curve on identical quadrature nodes and negate.
+    parametric map of one parameter with its analytic derivative, or a
+    polyline over explicit vertices.  Reversal is a flag, so that
+    integrators can evaluate the underlying forward curve on identical
+    quadrature nodes and negate.
     """
 
     kind: str
     fn: Optional[Callable[[float], np.ndarray]] = None
     dfn: Optional[Callable[[float], np.ndarray]] = None
     vertices: Optional[tuple] = None
-    children: Optional[tuple] = None
     arc: Optional[tuple] = None
     is_reversed: bool = False
 
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def parametric(cls, fn, derivative=None) -> "PathSpec":
-        """Path from a map t -> 3-vector, called once per parameter value."""
+    def parametric(cls, fn, derivative) -> "PathSpec":
+        """Path from a map t -> 3-vector and its derivative t -> d point / d t,
+        each called once per parameter value."""
         return cls(kind="parametric", fn=fn, dfn=derivative)
 
     @classmethod
@@ -152,15 +149,6 @@ class PathSpec:
                             f"radius {r}, phase {phase}, sweep {sweep}")
         return cls(kind="arc", arc=(c, r, phase, sweep))
 
-    @classmethod
-    def concat(cls, *paths: "PathSpec") -> "PathSpec":
-        if len(paths) < 2:
-            raise ValueError("concat needs at least two paths")
-        for a, b in zip(paths, paths[1:]):
-            if not same_point(a.end, b.start):
-                raise ValueError("concatenated paths do not join at endpoints")
-        return cls(kind="concat", children=tuple(paths))
-
     # -- evaluation ----------------------------------------------------
 
     def points(self, ts) -> np.ndarray:
@@ -195,40 +183,15 @@ class PathSpec:
                 return np.stack([-r * sweep * sin, r * sweep * cos, np.zeros_like(a)], axis=1)
             return np.stack([cx + r * cos, cy + r * sin, np.full_like(a, cz)], axis=1)
         if self.kind == "parametric":
-            if velocity and self.dfn is None:
-                return self._numeric_velocities(ts)
             fn = self.dfn if velocity else self.fn
             rows = [np.asarray(fn(t), dtype=float) for t in ts.tolist()]
             return np.array(rows).reshape(-1, 3)
-        m = len(self.children) if self.kind == "concat" else len(self.vertices) - 1
+        m = len(self.vertices) - 1
         s = np.clip(ts, 0.0, 1.0) * m
         i = np.minimum(s.astype(int), m - 1)
-        if self.kind == "polyline":
-            v = np.asarray(self.vertices)
-            d = v[i + 1] - v[i]
-            return d * m if velocity else v[i] + (s - i)[:, None] * d
-        out = np.empty((len(ts), 3))
-        for k, child in enumerate(self.children):
-            sel = i == k
-            if sel.any():
-                u = s[sel] - k
-                out[sel] = child.velocities(u) * m if velocity else child.points(u)
-        return out
-
-    def _numeric_velocities(self, ts: np.ndarray) -> np.ndarray:
-        """Second-order differences of a parametric map, one sided near the ends."""
-        p = self._point
-        h = _VELOCITY_H
-        lo, hi = ts < h, ts > 1.0 - h
-        mid = ~(lo | hi)
-        out = np.empty((len(ts), 3))
-        t = ts[lo]
-        out[lo] = (-3.0 * p(t) + 4.0 * p(t + h) - p(t + 2 * h)) / (2 * h)
-        t = ts[hi]
-        out[hi] = (3.0 * p(t) - 4.0 * p(t - h) + p(t - 2 * h)) / (2 * h)
-        t = ts[mid]
-        out[mid] = (p(t + h) - p(t - h)) / (2 * h)
-        return out
+        v = np.asarray(self.vertices)
+        d = v[i + 1] - v[i]
+        return d * m if velocity else v[i] + (s - i)[:, None] * d
 
     # -- structure -----------------------------------------------------
 
@@ -261,13 +224,11 @@ class PathSpec:
 
 
 def axis_distance(path: PathSpec) -> float:
-    """Closest approach to the z-axis in closed form per piece; inf if parametric.
+    """Closest approach to the z-axis in closed form; inf if parametric.
 
     Segments project the origin in xy, clamped; arcs give |rho_c - r| when
     the sweep reaches the circle point nearest the axis, else an endpoint's.
     """
-    if path.kind == "concat":
-        return min(axis_distance(c) for c in path.children)
     if path.kind == "parametric":
         return math.inf
     if path.kind == "arc":
@@ -305,11 +266,9 @@ def _sampled_change(path: PathSpec, n: int) -> float:
 
 def azimuth_change(path: PathSpec) -> float:
     """Azimuth change phi(1) - phi(0) continued along the path: exact for arcs and
-    polylines, refined samples for parametric pieces; reversal negates bitwise."""
+    polylines, refined samples for parametric paths; reversal negates bitwise."""
     if path.is_reversed:
         return -azimuth_change(path.reverse())
-    if path.kind == "concat":
-        return math.fsum(azimuth_change(c) for c in path.children)
     if path.kind == "parametric":
         return refine(lambda k: _sampled_change(path, _N_SAMPLES << k),
                       lambda cur, prev: abs(cur - prev) <= _AZIMUTH_RTOL * (1.0 + abs(cur)),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from abgauge import (LandauField, LoopSpec, PathSpec, PhaseProbe,
+from abgauge import (LandauField, LoopSpec, PathSpec, PhaseProbe, PhaseReport,
                      PolynomialGauge, SingularSolenoidGauge, SolenoidSpec,
                      SolenoidTransverseField, VelocitySample, energy_cancellation,
                      gauge_dependence_scan, interaction_energy, interference_shift,
@@ -15,7 +15,7 @@ from abgauge import (LandauField, LoopSpec, PathSpec, PhaseProbe,
 import abgauge.ab_phase as ab_phase
 from abgauge.cli import main
 from abgauge.errors import EndpointMismatch
-from abgauge.scenario import load_scenario, run_scenario
+from abgauge.scenario import exit_code, load_scenario, run_scenario, scenario_from_dict
 
 from helpers import random_polynomial_gauge, simpson_path_integral
 
@@ -142,7 +142,7 @@ class TestInterference:
         c1 = PathSpec.arc((0, 0, 0), 2.0, 0.0, PI)
         c2 = PathSpec.arc((0, 0, 0), 2.0, 0.0, -PI)
         shift = interference_shift(PhaseProbe(solenoid=S), c1, c2).phase
-        loop = LoopSpec(PathSpec.concat(c1, c2.reverse()))
+        loop = LoopSpec.circle((0, 0, 0), 2.0)
         assert shift == pytest.approx(loop_phase(PhaseProbe(solenoid=S), loop).phase,
                                       abs=1e-9)
 
@@ -266,6 +266,33 @@ class TestGaugeScan:
                 expected = ((gauges[i].value(end) - gauges[i].value(start))
                             - (gauges[j].value(end) - gauges[j].value(start)))
                 assert rows[i].phase - rows[j].phase == pytest.approx(expected, abs=1e-8)
+
+
+class TestPhaseReport:
+    """The split check is relative to the largest of 1 and the three magnitudes."""
+
+    def test_unit_scale_residual_raises(self):
+        with pytest.raises(ValueError, match="phase split inconsistent"):
+            PhaseReport(phase=0.5 + 2e-10, transverse_part=0.5, gauge_part=0.0,
+                        error_estimate=None)
+
+    def test_residual_scales_with_the_largest_part(self):
+        PhaseReport(phase=3e300 + 3e284, transverse_part=1e300, gauge_part=2e300,
+                    error_estimate=None)
+        with pytest.raises(ValueError, match="phase split inconsistent"):
+            PhaseReport(phase=1.0, transverse_part=1e300, gauge_part=-1e300 + 1e291,
+                        error_estimate=None)
+
+    def test_phase_shift_on_a_huge_arc_exits_0(self):
+        # Rounding alone leaves a residual of about 3e284 here, which an absolute
+        # 1e-10 refused.
+        arc = {"kind": "arc", "center": [0.0, 3.0, 1e150], "radius": 1e150,
+               "phi0": -1.8693555163419235, "phi1": 2.4146109359718686}
+        record = run_scenario(scenario_from_dict({"name": "huge", "operations": [
+            {"op": "phase_shift", "path": arc, "gauge_a": "gauge.chitilde",
+             "gauge_b": "none"}]}))
+        assert exit_code(record) == 0
+        assert abs(record.reports[0].value) > 1e299
 
 
 class TestReparametrization:

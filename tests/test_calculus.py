@@ -171,8 +171,7 @@ class TestLineIntegral:
     def test_additivity_over_interference_loop(self):
         c1 = PathSpec.arc((0, 0, 0), 2.0, 0.0, PI)
         c2 = PathSpec.arc((0, 0, 0), 2.0, 0.0, -PI)
-        loop = PathSpec.concat(c1, c2.reverse())
-        whole = line_integral(AS, loop, tol=1e-11)
+        whole = line_integral(AS, PathSpec.circle((0, 0, 0), 2.0), tol=1e-11)
         parts = (line_integral(AS, c1, tol=1e-11).value
                  - line_integral(AS, c2, tol=1e-11).value)
         assert whole.value == pytest.approx(parts, abs=1e-10)

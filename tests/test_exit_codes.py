@@ -1,8 +1,9 @@
 """Every scenario ends in exit code 0, 1, 2 or 3 and a record, never a traceback.
 
 Scenario dicts are built from degenerate pieces: zero, negative, non-finite
-and oversized numbers, radii on the shell, points on the axis and the branch
-cut, speeds of 1 or more, mis-shaped vectors and missing parameters.
+and oversized numbers, arc angles at their bound and just past it, radii on
+the shell, points on the axis and the branch cut, speeds of 1 or more,
+mis-shaped vectors, empty gauge lists and missing parameters.
 """
 
 import json
@@ -41,13 +42,15 @@ point = st.one_of(
 misshaped = st.one_of(st.lists(number, max_size=2), st.lists(number, min_size=4, max_size=4),
                       st.just("x"))
 vector = mostly(point, misshaped, 20)
+# An arc angle is bounded by 50 in magnitude.
+angle = st.one_of(number, st.sampled_from([-50.0, 50.0, -50.000001, 50.000001]))
 speed = st.one_of(vector, st.sampled_from([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [2.0, 0.0, 0.0]]))
 
 path = st.one_of(
     st.fixed_dictionaries({"kind": st.just("circle"), "center": vector, "radius": radius,
                            "turns": st.integers(-2, 2)}),
     st.fixed_dictionaries({"kind": st.just("arc"), "center": vector, "radius": radius,
-                           "phi0": number, "phi1": number, "reverse": st.booleans()}),
+                           "phi0": angle, "phi1": angle, "reverse": st.booleans()}),
     st.fixed_dictionaries({"kind": st.just("segment"), "from": vector, "to": vector}),
     st.fixed_dictionaries({"kind": st.just("polyline"),
                            "points": st.lists(vector, min_size=1, max_size=4)}),
@@ -69,6 +72,8 @@ operation_templates = st.one_of(
        tol=mostly(st.just(1e-9), st.sampled_from([0.0, -1.0]), 8)),
     op("loop_phase", loop=path, gauge=gauge),
     op("open_phase", path=path, gauge=gauge),
+    op("phase_shift", path=path, gauge_a=gauge, gauge_b=gauge),
+    op("gauge_scan", path=path, gauges=st.lists(gauge, max_size=3)),
     op("winding_number", loop=path),
     op("shrinking_loop", field=field, center=vector, eps=st.lists(radius, max_size=4)),
     op("interaction_energy", model=st.sampled_from(["boyer", "virtual_photon", "other"]),

@@ -32,7 +32,8 @@ class TestContinuousAzimuth:
         # A parametric path has no closed form; it rests on the axis for
         # 0.4 <= t <= 0.6, where samples land.
         path = PathSpec.parametric(
-            lambda t: np.array([min(t - 0.4, 0.0) + max(t - 0.6, 0.0), 0.0, 0.0]))
+            lambda t: np.array([min(t - 0.4, 0.0) + max(t - 0.6, 0.0), 0.0, 0.0]),
+            lambda t: np.array([float(t < 0.4) + float(t > 0.6), 0.0, 0.0]))
         with pytest.raises(AxisCrossing):
             azimuth_change(path)
 
@@ -42,11 +43,10 @@ class TestContinuousAzimuth:
         rev = azimuth_change(path.reverse())
         assert rev == -fwd  # bitwise
 
-    def test_concat_adds_changes(self):
+    def test_split_arc_changes_add(self):
         a = PathSpec.arc((0, 0, 0), 2.0, 0.0, 1.1)
         b = PathSpec.arc((0, 0, 0), 2.0, 1.1, 2.9)
-        both = PathSpec.concat(a, b)
-        total = azimuth_change(both)
+        total = azimuth_change(PathSpec.arc((0, 0, 0), 2.0, 0.0, 2.9))
         assert abs(total - (azimuth_change(a) + azimuth_change(b))) < 1e-12
 
     def test_endpoint_azimuths_track_branch(self):
@@ -100,14 +100,20 @@ class TestSamePoint:
         assert same_point((1.7e308, 0, 0), (1.7e308, 1.0, 0))
 
     def test_loop_gap_near_the_float_limit(self):
-        path = PathSpec.parametric(lambda t: np.array([1.7e308 * (1.0 - 2.0 * t), 1.0, 0.0]))
+        # Its speed, 3.4e308, overflows; only its endpoints are evaluated.
+        path = PathSpec.parametric(lambda t: np.array([1.7e308 * (1.0 - 2.0 * t), 1.0, 0.0]),
+                                   lambda t: np.array([-math.inf, 0.0, 0.0]))
         with pytest.raises(NotClosed, match="loop endpoints differ by"):
             LoopSpec(path)
 
     def test_large_arcs_join(self):
+        # The ends below differ by more than 1e-12, by rounding alone.
         upper = PathSpec.arc((0, 0, 0), 3e4, 0.3, 2.0)
         lower = PathSpec.arc((0, 0, 0), 3e4, 0.3, 2.0 - 2 * math.pi)
-        loop = PathSpec.concat(upper, lower.reverse())
+        assert np.abs(upper.end - lower.end).max() > 1e-12
+        assert same_point(upper.end, lower.end)
+        loop = PathSpec.arc((0, 0, 0), 3e4, 2.0, 2.0 + 2 * math.pi)
+        assert np.abs(loop.start - loop.end).max() > 1e-12
         assert loop.is_closed
         assert winding_number(LoopSpec(loop)) == 1
 
@@ -134,11 +140,12 @@ class TestPathSpec:
         assert np.allclose(rev.start, path.end)
         assert np.allclose(rev.end, path.start)
 
-    def test_numeric_velocity_fallback(self):
-        path = PathSpec.parametric(
-            lambda t: np.array([math.cos(t), math.sin(t), t]))
-        v = path.velocity_at(0.5)
-        assert np.allclose(v, (-math.sin(0.5), math.cos(0.5), 1.0), atol=1e-7)
+    def test_parametric_velocity_is_its_derivative(self):
+        path = PathSpec.parametric(lambda t: np.array([math.cos(t), math.sin(t), t]),
+                                   lambda t: np.array([-math.sin(t), math.cos(t), 1.0]))
+        assert np.array_equal(path.velocity_at(0.5), (-math.sin(0.5), math.cos(0.5), 1.0))
+        assert np.array_equal(path.reverse().velocity_at(0.5),
+                              (math.sin(0.5), -math.cos(0.5), -1.0))
 
     def test_closure_detection(self):
         assert PathSpec.circle((0, 0, 0), 2.0).is_closed
@@ -171,9 +178,6 @@ class TestDiscSpec:
 def _every_path_kind():
     arc = PathSpec.arc((0.2, -0.1, 0.5), 1.3, 0.3, 2.8)
     square = PathSpec.polyline([(1, 1, 0), (-1, 1, 0), (-1, -1, 0), (1, -1, 0), (1, 1, 0)])
-    inner = PathSpec.concat(PathSpec.arc((0, 0, 0), 2.0, 0.0, 1.0),
-                            PathSpec.arc((0, 0, 0), 2.0, 1.0, 2.5).reverse().reverse())
-    tail = PathSpec.segment(inner.end, (0.0, 3.0, 1.0))
     return {
         "circle": PathSpec.circle((0.4, 0.1, -0.3), 1.7, turns=-2, start_phase=0.9),
         "arc": arc,
@@ -181,15 +185,12 @@ def _every_path_kind():
         "polyline": square,
         "reversed arc": arc.reverse(),
         "reversed polyline": square.reverse(),
-        "nested concat": PathSpec.concat(inner, tail.reverse().reverse()),
-        "reversed nested concat": PathSpec.concat(inner, tail).reverse(),
         "parametric": PathSpec.parametric(
             lambda t: np.array([math.cos(3 * t), t * t, math.sin(t)]),
             lambda t: np.array([-3 * math.sin(3 * t), 2 * t, math.cos(t)])),
-        "parametric, numeric velocity": PathSpec.parametric(
-            lambda t: np.array([math.cos(3 * t), t * t, math.sin(t)])),
         "reversed parametric": PathSpec.parametric(
-            lambda t: np.array([1.0 + t, t ** 3, 0.0])).reverse(),
+            lambda t: np.array([1.0 + t, t ** 3, 0.0]),
+            lambda t: np.array([1.0, 3 * t * t, 0.0])).reverse(),
     }
 
 
@@ -210,16 +211,16 @@ class TestAxisDistance:
         arc = PathSpec.arc((1, 0, 0), 1.0, -2.5, 2.5)
         assert axis_distance(arc) == pytest.approx(math.sqrt(2.0 + 2.0 * math.cos(2.5)), abs=1e-15)
 
-    def test_concat_takes_minimum_and_reversal_is_ignored(self):
+    def test_reversal_is_ignored(self):
         a = PathSpec.arc((0, 0, 0), 2.0, 0.0, 1.0)
         b = PathSpec.segment(a.end, (0.5, 0.0, 0.0))
-        both = PathSpec.concat(a, b)
-        assert axis_distance(both) == axis_distance(b) == 0.5
-        assert axis_distance(both.reverse()) == 0.5
+        assert axis_distance(b.reverse()) == axis_distance(b) == 0.5
         assert axis_distance(a.reverse()) == axis_distance(a)
 
     def test_parametric_has_no_closed_form(self):
-        assert axis_distance(PathSpec.parametric(lambda t: np.array([1.0 + t, 0.0, 0.0]))) == math.inf
+        path = PathSpec.parametric(lambda t: np.array([1.0 + t, 0.0, 0.0]),
+                                   lambda t: np.array([1.0, 0.0, 0.0]))
+        assert axis_distance(path) == math.inf
 
     @pytest.mark.parametrize("name", [k for k in _every_path_kind() if "parametric" not in k])
     def test_matches_dense_sampling(self, name):
@@ -249,26 +250,28 @@ class TestPathsThroughTheAxis:
         with pytest.raises(AxisCrossing):
             endpoint_azimuths(PathSpec.arc((1, 0, 0), 1.0, 0.5, 5.5))
 
-    def test_reversed_concat_within_cutoff(self):
-        a = PathSpec.arc((0, 0, 0), 2.0, 0.0, 1.0)
-        b = PathSpec.segment(a.end, (0.0, 5e-10, 0.0))
+    def test_reversed_segment_within_cutoff(self):
         with pytest.raises(AxisCrossing):
-            azimuth_change(PathSpec.concat(a, b).reverse())
+            azimuth_change(PathSpec.segment((2.0, 1.0, 0.0), (0.0, 5e-10, 0.0)).reverse())
 
     def test_parametric_keeps_the_sampled_check(self):
-        path = PathSpec.parametric(lambda t: np.array([t, 0.0, 0.0]))
+        path = PathSpec.parametric(lambda t: np.array([t, 0.0, 0.0]),
+                                   lambda t: np.array([1.0, 0.0, 0.0]))
         with pytest.raises(AxisCrossing):
             azimuth_change(path)
 
     def test_parametric_crossing_between_samples(self):
         # No sample count of the form 4096 * 2**k lands on t = 0.5, where
         # the path crosses the axis; the chord between two samples does.
-        path = PathSpec.parametric(lambda t: np.array([2 * t - 1, 0.0, 0.0]))
+        path = PathSpec.parametric(lambda t: np.array([2 * t - 1, 0.0, 0.0]),
+                                   lambda t: np.array([2.0, 0.0, 0.0]))
         with pytest.raises(AxisCrossing):
             azimuth_change(path)
 
     def test_parametric_circle_around_the_axis_passes(self):
-        path = PathSpec.parametric(lambda t: np.array([math.cos(6 * t), math.sin(6 * t), 0.0]))
+        path = PathSpec.parametric(
+            lambda t: np.array([math.cos(6 * t), math.sin(6 * t), 0.0]),
+            lambda t: np.array([-6 * math.sin(6 * t), 6 * math.cos(6 * t), 0.0]))
         assert azimuth_change(path) == pytest.approx(6.0, abs=1e-12)
 
 
@@ -306,7 +309,7 @@ class TestExactAzimuth:
     @pytest.mark.parametrize("name", list(_seeded_azimuth_cases()))
     def test_matches_the_sampled_route(self, name):
         path = _seeded_azimuth_cases()[name]
-        sampled = azimuth_change(PathSpec.parametric(path.point_at))
+        sampled = azimuth_change(PathSpec.parametric(path.point_at, path.velocity_at))
         assert abs(azimuth_change(path) - sampled) <= 1e-12
 
     def test_arc_passing_just_outside_the_axis(self):
@@ -400,8 +403,11 @@ class TestConstructorsCheckTheirData:
 
 class TestNonFiniteSamples:
     def test_azimuth_stops_at_a_nan_point(self):
-        path = PathSpec.parametric(lambda t: np.array([1.0, math.nan if t > 0.5 else t, 0.0]))
+        # A closed path whose points are NaN for 0.5 < t < 1.
+        path = PathSpec.parametric(
+            lambda t: np.array([1.0, math.nan if 0.5 < t < 1.0 else t * (1.0 - t), 0.0]),
+            lambda t: np.array([0.0, math.nan if 0.5 < t < 1.0 else 1.0 - 2.0 * t, 0.0]))
         with pytest.raises(NonFinite, match=r"path sample is not finite at t = 0\.5\d*, point"):
             azimuth_change(path)
         with pytest.raises(NonFinite):
-            winding_number(LoopSpec(PathSpec.concat(path, PathSpec.segment(path.end, path.start))))
+            winding_number(LoopSpec(path))

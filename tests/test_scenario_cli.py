@@ -789,6 +789,7 @@ class TestCliExitCodes:
         (["plot", "field", "solenoid.AS", "--resolution=1", "--out=map.svg"], 2,
          "operations.0.resolution"),
         (["string", "--eps=0.6,0.3"], 2, "operations.1.eps"),
+        (["phase", "open", "--arc=1:0:1e300"], 2, "paths.arc.phi1"),
     ])
     def test_degenerate_argv(self, argv, code, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -23,6 +23,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from abgauge import scenario as scenario_module
+from abgauge.ab_phase import INTERACTION_MODELS
 from abgauge.cli import main
 from abgauge.scenario import (compile_schema, load_schema, record_json, run_scenario,
                               scenario_from_dict)
@@ -356,6 +357,14 @@ BEYOND_EACH_BOUND = [
     (_op(op="eval_field", field="solenoid.AS", at=[2, 0, 0, 0]), "operations.0.at"),
     (_op(op="curl_scan", field="solenoid.AS", target=[0, 0, 1, 0]), "operations.0.target"),
     (_op(op="energy_cancellation", at=[2, 0, 0], v=[0.1, 0, 0, 0]), "operations.0.v"),
+    (_scenario(paths={"a": {"kind": "arc", "radius": 2.0, "phi0": 0.0, "phi1": 1e300}}),
+     "paths.a.phi1"),
+    (_scenario(paths={"a": {"kind": "arc", "radius": 2.0, "phi1": 0.0,
+                            "phi0": _node(*PATH, "phi0", "minimum") - 1e-9}}), "paths.a.phi0"),
+    (_op(op="gauge_scan", path={"kind": "arc", "radius": 2.0, "phi0": 0, "phi1": 1},
+         gauges=[]), "operations.0.gauges"),
+    (_op(op="interaction_energy", model="other", v=[0.1, 0, 0], at=[2, 0, 0]),
+     "operations.0.model"),
 ]
 
 
@@ -367,6 +376,40 @@ def test_one_beyond_each_bound_exits_2_naming_it(raw, where, tmp_path, capsys):
     assert main(["run", str(src), "--out", str(tmp_path / "out")]) == 2
     assert f"scenario does not match schema at {where}: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_model_enum_is_the_interaction_models():
+    assert tuple(_node(*OP, "model", "enum")) == INTERACTION_MODELS
+
+
+# Runs one scenario with the address space capped; one BLAS thread keeps the
+# interpreter's own reservations small on machines with many cores.
+_CAPPED_RUN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from abgauge.cli import main
+sys.exit(main(["run", sys.argv[1], "--out", sys.argv[2]]))
+"""
+
+
+def test_an_arc_across_the_shell_at_the_angle_bound_runs_under_a_memory_cap(tmp_path):
+    # Each of its nearly 16 turns crosses the shell twice, and the closed forms list
+    # every crossing.
+    lo, hi = _node(*PATH, "phi0", "minimum"), _node(*PATH, "phi1", "maximum")
+    raw = _scenario(paths={"a": {"kind": "arc", "center": [1.0, 0.0, 0.0], "radius": 0.9,
+                                 "phi0": lo, "phi1": hi}},
+                    operations=[{"op": "line_integral", "field": "solenoid.AS", "path": "a"},
+                                {"op": "line_integral", "field": "gauge.sing", "path": "a"},
+                                {"op": "phase_shift", "path": "a", "gauge_a": "none",
+                                 "gauge_b": "none"},
+                                {"op": "gauge_scan", "path": "a", "gauges": ["none"]}])
+    src = tmp_path / "bounds.json"
+    src.write_text(json.dumps(raw))
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_RUN, str(src), str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert (tmp_path / "out" / "bounds.json").exists()
 
 
 @pytest.mark.parametrize("term", [[2.7, 0, 0, 1], [-1, 0, 0, 1]])
