@@ -6,7 +6,9 @@ uniform-field Landau system (symmetric gauge, the two Landau gauges, the
 Bawin-Burnel gauge, and the scalar functions linking them).  Each closed
 form is written once, as the ``__call__`` of its field class or the
 ``value``/``gradient`` of its gauge class; a field's exact work integral
-along a path, where it has one, is its ``circulation``.  The string of
+along a path, where it has one, is its ``circulation``, and its exact flux
+through a z-normal disc its ``flux`` (the solenoid's B: B times the area the
+disc shares with the cross-section).  The string of
 flux the singular gauge leaves on the axis is ``StringField``; it has no
 pointwise values and enters a disc flux only through ``flux_through``.
 
@@ -260,6 +262,13 @@ class FieldExpr:
         """
         return None
 
+    def flux(self, disc) -> Optional[float]:
+        """Exact flux of the z-component through a disc along +z, or None with no
+        closed form.  ``calculus.disc_flux`` applies the disc's orientation and
+        integrates by quadrature where this gives None.
+        """
+        return None
+
 
 @dataclass(frozen=True)
 class SolenoidField(FieldExpr):
@@ -395,6 +404,30 @@ class SolenoidBField(ShellExcludedField):
             raise OnShell("magnetic field has no value on the current shell")
         return _stack(0.0, 0.0, np.where(rho < s.R, s.B, 0.0))
 
+    def flux(self, disc) -> float:
+        """B times the area the disc shares with the cross-section rho < R.
+
+        With the disc's radius r at distance d from the axis, the overlap is
+        empty, the smaller disc whole, or the lens between the two circles.
+        """
+        R, r = self.solenoid.R, disc.radius
+        d = math.hypot(disc.center[0], disc.center[1])
+        if d >= r + R:
+            return 0.0
+        if d <= abs(R - r):
+            return self.solenoid.B * math.pi * min(r, R) ** 2
+        # The lens in units of the larger radius, so that nothing overflows: the
+        # sectors at the two centres less the kite of the centres and the corners.
+        # k is four times the area of the triangle of d, r and R; each half-angle is
+        # an atan2 of k, which keeps the area accurate near tangency.
+        s = max(r, R)
+        d, u, v = d / s, r / s, R / s
+        k = math.prod(math.sqrt(max(0.0, f))
+                      for f in (u + v - d, d + (u - v), d - (u - v), u + v + d))
+        lens = (u * u * math.atan2(k, d * d + (u - v) * (u + v))
+                + v * v * math.atan2(k, d * d - (u - v) * (u + v)) - 0.5 * k)
+        return self.solenoid.B * (s * s * lens)
+
 
 @dataclass(frozen=True)
 class TransformedPotentialField(SolenoidField):
@@ -475,12 +508,28 @@ class LandauField(FieldExpr):
         return _stack(-B * az * x, -B * az * y, 0.0)
 
     def circulation(self, path) -> Optional[float]:
-        """A(midpoint) . (b - a) summed over the segments of a forward polyline, exact
-        because the S, L1 and L2 potentials are linear; None for BB and other paths."""
-        if self.variant == "BB" or path.is_reversed or path.kind != "polyline":
+        """Exact work integral of the S, L1 or L2 potential along a forward polyline
+        or arc; None for BB and other paths.
+
+        These potentials are linear, A = M x, with M[0][1] = b and M[1][0] = c
+        their only entries.  A segment p -> q gives A(midpoint) . (q - p).  On
+        an arc x = x_c + r u(phi) with u = (cos phi, sin phi, 0), the work is
+        r (M x_c) . du + r^2 (M u) . du, and (M u) . u' = c cos^2 - b sin^2.
+        """
+        if self.variant == "BB" or path.is_reversed or path.kind not in ("arc", "polyline"):
             return None
-        v = np.asarray(path.vertices)
-        return math.fsum((self(0.5 * (v[:-1] + v[1:])) * np.diff(v, axis=0)).ravel().tolist())
+        if path.kind == "polyline":
+            v = np.asarray(path.vertices)
+            return math.fsum((self(0.5 * (v[:-1] + v[1:])) * np.diff(v, axis=0)).ravel().tolist())
+        (cx, cy, _), r, phase, sweep = path.arc
+        a_x, a_y = self(np.eye(3)[:2]).tolist()  # A at the unit vectors: M's columns
+        b, c = a_y[0], a_x[1]
+        # Differences of cos, sin and sin 2phi by product formulas, about the middle angle.
+        mid, half = phase + 0.5 * sweep, math.sin(0.5 * sweep)
+        d_cos, d_sin = -2.0 * half * math.sin(mid), 2.0 * half * math.cos(mid)
+        d_sin2 = 2.0 * math.cos(2.0 * mid) * math.sin(sweep)
+        return math.fsum((r * b * cy * d_cos, r * c * cx * d_sin,
+                          r * r * (c - b) * 0.5 * sweep, r * r * (c + b) * 0.25 * d_sin2))
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@
 
 A line integral first asks the field for its exact circulation along each
 forward arc, polyline or parametric piece (``FieldExpr.circulation``: the
-solenoid's transverse potential on arcs and polylines, the linear Landau
-potentials on polylines, gauge gradients on any path), after the same
-domain checks as quadrature; an exact value reports no nodes and a None
+solenoid's transverse potential and the linear Landau potentials on arcs
+and polylines, gauge gradients on any path), after the same domain checks
+as quadrature; a disc flux first asks for the exact flux
+(``FieldExpr.flux``: the solenoid's B by the area of the disc's overlap
+with the cross-section).  An exact value reports no nodes and a None
 estimate.  Where the field gives None, the piece is integrated by
 composite Gauss-Legendre along the path parameter with panel doubling;
 disc fluxes use a polar product rule with radial splits at known
@@ -311,34 +313,38 @@ def disc_flux(f: FieldExpr, disc: DiscSpec, deltas: Sequence = (),
               tol: float = 1e-9) -> CirculationReport:
     """Flux of the smooth field through the disc plus enclosed delta fluxes.
 
-    The smooth part uses a polar Gauss product rule refined until
-    |I_2n - I_n| < tol, the reported estimate; n_points counts the last
-    level's nodes.  When the disc is centered on the axis the radial
-    integration is split at the field's radial breakpoints so
-    discontinuities sit on panel edges.  Each delta (a ``StringField``)
-    adds its analytic flux through the disc.
+    Where the field gives its flux in closed form (``FieldExpr.flux``) the
+    smooth part is exact, with n_points 0 and a None estimate.  Otherwise a
+    polar Gauss product rule is refined until |I_2n - I_n| < tol, the
+    reported estimate; n_points counts the last level's nodes.  When the
+    disc is centered on the axis the radial integration is split at the
+    field's radial breakpoints so discontinuities sit on panel edges.  Each
+    delta (a ``StringField``) adds its analytic flux through the disc.
     """
-    centered = math.hypot(disc.center[0], disc.center[1]) <= 1e-12
-    cuts = []
-    if centered:
-        cuts = sorted(b for b in f.radial_breakpoints if 0.0 < b < disc.radius)
-    redges = [0.0, *cuts, disc.radius]
-
-    smooth, prev, level = refine(
-        lambda k: _polar_flux_level(f, disc, redges, k),
-        lambda a, b: abs(a - b) < tol, _DISC_MAX_DOUBLINGS, f"disc flux to tol={tol:g}")
+    smooth, nodes, estimate = f.flux(disc), 0, None
+    if smooth is None:
+        centered = math.hypot(disc.center[0], disc.center[1]) <= 1e-12
+        cuts = []
+        if centered:
+            cuts = sorted(b for b in f.radial_breakpoints if 0.0 < b < disc.radius)
+        redges = [0.0, *cuts, disc.radius]
+        smooth, prev, level = refine(
+            lambda k: _polar_flux_level(f, disc, redges, k),
+            lambda a, b: abs(a - b) < tol, _DISC_MAX_DOUBLINGS, f"disc flux to tol={tol:g}")
+        nodes = (len(redges) - 1) * _DISC_ORDER ** 2 * 2 ** (2 * level + 1)
+        estimate = abs(smooth - prev)
     total = smooth * disc.orientation
     for d in deltas:
         total += d.flux_through(disc)
-    nodes = (len(redges) - 1) * _DISC_ORDER ** 2 * 2 ** (2 * level + 1)
-    return CirculationReport(total, nodes, abs(smooth - prev))
+    return CirculationReport(total, nodes, estimate)
 
 
 def stokes_residual(f: FieldExpr, disc: DiscSpec, cfg: DiffConfig = DiffConfig()) -> float:
     """|circulation along the disc's rim - flux of the numeric curl through the disc|.
 
-    Both sides are computed independently (quadrature against
-    finite-difference curl quadrature).
+    Both sides are computed independently: the circulation in closed form
+    where the field has one, else by quadrature, against quadrature of the
+    finite-difference curl, which has no closed-form flux.
     """
     circ = line_integral(f, disc.boundary().path, tol=_STOKES_TOL * 1e-2)
     flux = disc_flux(NumericCurlField(f, cfg), disc, tol=_STOKES_TOL)

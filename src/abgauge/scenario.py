@@ -544,20 +544,19 @@ def resolve_field(field_id, scenario: Scenario):
 def _sample_points(rng, n, rho_range, z_range=(-1.0, 1.0), avoid_shell=None,
                    shell_margin=0.01, avoid_cut=False) -> np.ndarray:
     """(n, 3) random points; ValueError when the shell margin rejects nearly all."""
-    pts = []
+    rows = []
+    lo, hi = (-math.pi + 0.2, math.pi - 0.2) if avoid_cut else (-math.pi, math.pi)
     for _ in range(1000 * (int(n) + 1)):  # n may be a float without a fraction
-        if len(pts) >= n:
+        if len(rows) >= n:
             break
         rho = rng.uniform(*rho_range)
         if avoid_shell is not None and abs(rho - avoid_shell) < shell_margin:
             continue
-        lo, hi = (-math.pi + 0.2, math.pi - 0.2) if avoid_cut else (-math.pi, math.pi)
         phi = rng.uniform(lo, hi)
-        z = rng.uniform(*z_range)
-        pts.append(np.array([rho * math.cos(phi), rho * math.sin(phi), z]))
-    if len(pts) < n:
+        rows.append((rho * math.cos(phi), rho * math.sin(phi), rng.uniform(*z_range)))
+    if len(rows) < n:
         raise ValueError("the rho range leaves no room outside the shell margin")
-    return np.array(pts).reshape(-1, 3)
+    return np.array(rows, dtype=float).reshape(-1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -881,7 +880,7 @@ def record_payload(record: RunRecord) -> dict:
 
 
 def record_json(record: RunRecord) -> str:
-    return json.dumps(record_payload(record), sort_keys=True, indent=2) + "\n"
+    return json.dumps(record_payload(record), sort_keys=True) + "\n"
 
 
 def sidecar_json(record: RunRecord) -> str:

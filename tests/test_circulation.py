@@ -1,11 +1,14 @@
-"""Closed-form circulations against quadrature, and refusals that stay the same.
+"""Closed-form circulations and fluxes against independent values, and refusals
+that stay the same.
 
-``line_integral`` takes the transverse potential on arcs and polylines, the
-linear Landau potentials on polylines and gauge gradients on any path by
+``line_integral`` takes the transverse potential and the linear Landau
+potentials on arcs and polylines and gauge gradients on any path by
 formula.  Wrapping a field in a one-term ``SumField`` hides its closed form,
 so the same call integrates it by quadrature.  Paths that cross the shell
 are compared with quadrature of pieces this module splits itself, by
 bisection on rho(t) - R, and crossing circles with the exact lens area.
+Landau arcs are compared with a fixed Gauss-Legendre rule, and the exact
+flux of B through a disc with the exact circulation of A_S around its rim.
 """
 
 import math
@@ -15,9 +18,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from abgauge import (BawinBurnelGauge, FieldExpr, GaugeGradientField, LandauField,
-                     PathSpec, PolynomialGauge, SingularSolenoidGauge, SolenoidSpec,
-                     SolenoidTransverseField, SumField, line_integral)
+from abgauge import (BawinBurnelGauge, DiscSpec, FieldExpr, GaugeGradientField,
+                     LandauField, PathSpec, PolynomialGauge, SingularSolenoidGauge,
+                     SolenoidBField, SolenoidSpec, SolenoidTransverseField, SumField,
+                     disc_flux, line_integral)
 from abgauge.errors import ComputationError, DomainViolation
 from abgauge.scenario import _FIELDS, _GAUGES, scenario_from_dict
 
@@ -115,6 +119,15 @@ def exact(f, path):
     return line_integral(f, path).value
 
 
+def gauss_legendre(f, path, panels=64, order=8):
+    """Composite Gauss-Legendre rule over the path parameter, independent of calculus."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    ts = ((np.arange(panels)[:, None] + 0.5 * (x + 1.0)) / panels).ravel()
+    terms = np.tile(0.5 * w / panels, panels) * (f(path.points(ts))
+                                                 * path.velocities(ts)).sum(axis=1)
+    return math.fsum(terms.tolist())
+
+
 class TestOneSideOfTheShell:
     @given(st.data(), solenoids)
     def test_transverse_potential_matches_quadrature(self, data, s):
@@ -137,6 +150,18 @@ class TestOneSideOfTheShell:
             path = path.reverse()
         f = LandauField(variant, b)
         assert close(line_integral(f, path).value, quadrature(f, path), 10.0)
+
+    @given(st.data(), st.sampled_from(["S", "L1", "L2"]),
+           st.floats(0.3, 2.0) | st.floats(-2.0, -0.3), st.booleans())
+    def test_landau_arc_matches_gauss_legendre(self, data, variant, b, reverse):
+        path = data.draw(inside_arc(3.0) | outside_arc(1.0))
+        f = LandauField(variant, b)
+        (cx, cy, _), r, _, sw = path.arc
+        got = line_integral(f, path.reverse() if reverse else path).value
+        want = gauss_legendre(f, path)
+        # |A| <= |b| (|c| + r) on the arc, whose length is r |sweep|.
+        scale = abs(b) * (math.hypot(cx, cy) + r) * r * abs(sw)
+        assert abs(got - (-want if reverse else want)) <= 1e-13 * scale
 
     @given(st.data(), st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
                                          st.integers(0, 1), st.floats(-1.0, 1.0)),
@@ -274,6 +299,23 @@ class TestAcrossTheShell:
         want = turns * s.B * lens_area(s.R, hc, r)
         assert close(line_integral(SolenoidTransverseField(s), path).value, want,
                      abs(turns * s.flux))
+
+    @given(st.data(), st.floats(-3.0, 3.0), st.floats(0.3, 2.0) | st.floats(-2.0, -0.3),
+           st.sampled_from([1.0, -1.0]))
+    def test_closed_form_flux_meets_the_rim_circulation(self, data, log_r, b, normal):
+        # Stokes: the flux of B through a disc is the circulation of A_S around its rim.
+        s = SolenoidSpec(10.0 ** log_r, b)
+        hc, r = data.draw(st.one_of(
+            st.tuples(st.just(0.0), st.floats(0.05, 3.0).map(lambda u: u * s.R)),
+            crossing_circle(s.R),
+            st.tuples(st.floats(0.0, 3.0), st.floats(0.05, 3.0)).map(
+                lambda t: (t[0] * s.R, t[1] * s.R))))
+        disc = DiscSpec(polar(hc, data.draw(phase), data.draw(unit)), r,
+                        normal=(0.0, 0.0, normal))
+        rep = disc_flux(SolenoidBField(s), disc)
+        rim = line_integral(SolenoidTransverseField(s), disc.boundary().path)
+        assert rep.n_points == 0 and rep.error_estimate is None
+        assert abs(rep.value - rim.value) <= 1e-13 * abs(s.flux)
 
     def test_off_centre_circle_meets_its_lens_flux(self):
         # Quadrature converged falsely on this circle: 7.46e-12 off, reporting 0.0.

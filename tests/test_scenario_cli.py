@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import abgauge
-from abgauge import (DiscSpec, LandauField, SolenoidBField, SolenoidSpec,
+from abgauge import (DiscSpec, LandauField, NumericCurlField, SolenoidSpec,
                      SolenoidTransverseField, TransformedPotentialField, disc_flux)
 from abgauge import ab_phase as ab_phase_module
 from abgauge import scenario as scenario_module
@@ -201,19 +201,36 @@ class TestScenarioExecution:
         assert record.reports[0].value == pytest.approx(0.5 * math.atan2(1.1, -40.0),
                                                         abs=1e-8)
 
-    def test_disc_flux_reports_its_last_level_difference(self):
-        # An off-centre disc cutting the shell: B jumps inside the panels,
-        # so successive levels differ well above rounding.
+    def test_off_centre_disc_across_the_shell_has_an_exact_flux(self, tmp_path):
+        # Quadrature of this disc took 13.1 M nodes at tol 1e-4 and did not converge
+        # at 1e-6; the overlap area meets the rim circulation of A_S.
+        want = {"value": 20.016490776492960, "tol": 1e-13}
         raw = minimal_scenario(
-            discs={"d": {"center": [0.5, 0, 0], "radius": 1.0}},
-            operations=[{"op": "disc_flux", "field": "solenoid.B", "disc": "d", "tol": 1e-3}])
-        rep = run_scenario(scenario_from_dict(raw)).reports[0]
-        b, disc = SolenoidBField(SolenoidSpec(1.0, 1.0)), DiscSpec((0.5, 0, 0), 1.0)
-        levels = [_polar_flux_level(b, disc, [0.0, 1.0], k) for k in range(4)]
+            solenoid={"R": 3.05, "B": 1.0},
+            paths={"rim": {"kind": "circle", "center": [0, 1.08, 0], "radius": 2.75}},
+            discs={"d": {"center": [0, 1.08, 0], "radius": 2.75}},
+            operations=[{"op": "disc_flux", "field": "solenoid.B", "disc": "d", "tol": 1e-12,
+                         "expect": want},
+                        {"op": "line_integral", "field": "solenoid.AS", "path": "rim",
+                         "tol": 1e-12, "expect": want}])
+        src = tmp_path / "lens.json"
+        src.write_text(json.dumps(raw))
+        assert main(["run", str(src), "--out", str(tmp_path / "out")]) == 0
+        flux = json.loads((tmp_path / "out" / "t.json").read_text())["reports"][0]
+        assert flux["error_estimate"] is None
+
+    def test_disc_flux_reports_its_last_level_difference(self):
+        # The finite-difference curl of the transverse potential has no closed-form
+        # flux.  On an off-centre disc cutting the shell it jumps inside the panels,
+        # so successive levels differ well above rounding.
+        curl = NumericCurlField(SolenoidTransverseField(SolenoidSpec(1.0, 1.0)))
+        disc = DiscSpec((0.5, 0, 0), 1.0)
+        rep = disc_flux(curl, disc, tol=1e-3)
+        levels = [_polar_flux_level(curl, disc, [0.0, 1.0], k) for k in range(4)]
         assert abs(levels[2] - levels[1]) >= 1e-3 > abs(levels[3] - levels[2])
         assert rep.value == levels[3]
         assert rep.error_estimate == abs(levels[3] - levels[2]) > 0.0
-        assert disc_flux(b, disc, tol=1e-3).n_points == 100 * 2 ** 7
+        assert rep.n_points == 100 * 2 ** 7
 
     def test_numeric_b_field_estimate_bounds_its_error(self):
         # A scenario may still send the step h of the removed stencil; it changes nothing.
@@ -373,6 +390,11 @@ class TestDeterminism:
         b = run_scenario(sc)
         assert record_json(a) == record_json(b)
         assert record_csv(a) == record_csv(b)
+
+    def test_record_is_one_line_of_json(self):
+        text = record_json(run_scenario(load_scenario(bundled_path("loop_flux"))))
+        assert text.endswith("}\n") and text.count("\n") == 1
+        assert json.loads(text)["scenario"] == "loop_flux"
 
     def test_timestamp_only_in_sidecar(self):
         sc = load_scenario(bundled_path("interaction_energy"))

@@ -365,6 +365,8 @@ BEYOND_EACH_BOUND = [
          gauges=[]), "operations.0.gauges"),
     (_op(op="interaction_energy", model="other", v=[0.1, 0, 0], at=[2, 0, 0]),
      "operations.0.model"),
+    (_scenario(paths={"c": {"kind": "circle", "radius": 2.0, "start_phase": 1e17}}),
+     "paths.c.start_phase"),
 ]
 
 
