@@ -554,7 +554,11 @@ class SumField(FieldExpr):
         return tuple(cuts)
 
     def __call__(self, p) -> np.ndarray:
-        return sum((t(p) for t in self.terms), np.zeros(3))
+        first, *rest = self.terms
+        total = first(p)
+        for t in rest:
+            total = total + t(p)
+        return total
 
     def domain_ok(self, p, margin: float = 0.0) -> np.ndarray:
         return np.logical_and.reduce([t.domain_ok(p, margin) for t in self.terms])

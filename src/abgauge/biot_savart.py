@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .analytic_fields import ShellExcludedField, SolenoidSpec
-from .calculus import _gl01
+from .calculus import _ROUNDING, _gl01
 from .errors import OnShell
 from .geometry import as_points
 
@@ -34,8 +34,6 @@ from .geometry import as_points
 N_PHI = 48
 # (point x azimuth node) entries per block of the vectorized quadrature.
 _BLOCK = 4096
-# The estimate is at least 8 units of roundoff of the sum of the absolute terms.
-_ROUNDING = 8 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)

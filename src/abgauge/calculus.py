@@ -11,14 +11,18 @@ estimate.  Where the field gives None, the piece is integrated by
 composite Gauss-Legendre along the path parameter with panel doubling;
 disc fluxes use a polar product rule with radial splits at known
 breakpoints; both double through ``extrapolation.refine`` and report
-|I_2n - I_n| as their estimate.  Shrinking-loop circulations extrapolate in
-the squared loop radius.  The axis string (``StringField``) never enters any
-stencil or quadrature; a disc flux adds its ``flux_through``.
+|I_2n - I_n| as their estimate, or 8 ulps of the last level's sum of
+absolute terms (``_ROUNDING``, the oracle's floor too) where that is larger.
+Shrinking-loop circulations extrapolate in the squared loop radius.  The
+axis string (``StringField``) never enters any stencil or quadrature; a disc
+flux adds its ``flux_through``.
 
 Each refinement level is one array evaluation (blocks of ``_CHUNK`` points
-beyond that): a line level's points, velocities and field values, a polar
-flux grid, the 6 or 12 stencil points of any number of base points.  Terms
-are summed exactly with ``math.fsum``; a non-finite term raises ``NonFinite``.
+beyond that): a line level's points and velocities (``PathSpec.frame``) and
+field values, a polar flux grid, the 6 or 12 stencil points of any number of
+base points.  A line integral's first two levels, which every refinement
+takes, are one evaluation of their nodes together.  Terms are summed exactly
+with ``math.fsum``; a non-finite term raises ``NonFinite``.
 """
 
 from __future__ import annotations
@@ -48,6 +52,9 @@ _LINE_MAX_DOUBLINGS, _DISC_MAX_DOUBLINGS = 16, 8
 # Tolerances: the Stokes check's flux (its circulation is 100x tighter), each
 # shrinking circle's circulation, and the spread of extrapolants that is a limit.
 _STOKES_TOL, _SHRINK_TOL, _SHRINK_CAUCHY_TOL = 1e-8, 1e-11, 1e-6
+
+# A quadrature estimate is at least 8 units of roundoff of the sum of the absolute terms.
+_ROUNDING = 8 * np.finfo(float).eps
 
 # Largest sampled |div| or |curl| that still counts as zero.
 _HELMHOLTZ_THRESHOLD = 1e-6
@@ -197,19 +204,54 @@ def _gl01(order: int):
     return 0.5 * (x + 1.0), 1.0 / ((1.0 - x * x) * dp * dp)
 
 
-def _fsum_blocks(blocks) -> float:
-    """Exact sum of every entry of an iterable of arrays."""
-    return math.fsum(chain.from_iterable(b.ravel().tolist() for b in blocks))
+def _sums(blocks) -> tuple:
+    """(exact sum, sum of magnitudes) of every entry of an iterable of arrays, in one pass."""
+    magnitudes = []
+
+    def lists():
+        for b in blocks:
+            magnitudes.append(float(np.abs(b).sum()))
+            yield b.ravel().tolist()
+
+    total = math.fsum(chain.from_iterable(lists()))
+    return total, math.fsum(magnitudes)
 
 
-def _composite(g, panels: int, order: int) -> float:
-    """Composite rule for g, which maps an array of parameters to integrand values."""
+def _refine(level_sums, tol: float, max_doublings: int, what: str) -> tuple:
+    """(value, estimate, level) at the first level >= 1 where |I_2n - I_n| < tol.
+
+    level_sums(k) returns (sum, sum of magnitudes) for levels k, k + 1, ... as far
+    as one evaluation reaches.  The estimate is |I_2n - I_n|, but at least
+    _ROUNDING times the last level's sum of magnitudes.
+    """
+    levels = {}
+
+    def value(k):
+        if k not in levels:
+            levels.update(enumerate(level_sums(k), k))
+        return levels[k][0]
+
+    val, prev, depth = refine(value, lambda a, b: abs(a - b) < tol, max_doublings, what)
+    return val, max(abs(val - prev), _ROUNDING * levels[depth][1]), depth
+
+
+def _composite(g, panel_counts, order: int) -> list:
+    """Composite rules for g, which maps an array of parameters to integrand values:
+    one call of g on the nodes of every panel count (blocks of _CHUNK beyond that),
+    and (sum, sum of magnitudes) of each count's terms."""
     nodes, weights = _gl01(order)
-    width = 1.0 / panels
-    ts = (np.arange(panels)[:, None] * width + width * nodes).ravel()
-    w = np.tile(weights * width, panels)
-    return _fsum_blocks(w[i:i + _CHUNK] * g(ts[i:i + _CHUNK])
-                        for i in range(0, ts.size, _CHUNK))
+    ts = np.concatenate([(np.arange(panels)[:, None] * (1.0 / panels)
+                          + (1.0 / panels) * nodes).ravel() for panels in panel_counts])
+    terms = np.empty_like(ts)
+    for i in range(0, ts.size, _CHUNK):
+        terms[i:i + _CHUNK] = g(ts[i:i + _CHUNK])
+    rows, out, lo = _CHUNK // order, [], 0
+    for panels in panel_counts:
+        level = terms[lo:lo + panels * order].reshape(panels, order)
+        level *= weights * (1.0 / panels)
+        out.append(_sums(level[k:k + rows] for k in range(0, panels, rows)))
+        lo += panels * order
+    return out
 
 
 def _domain_precheck(f: FieldExpr, path: PathSpec, n: int = 129) -> None:
@@ -226,8 +268,8 @@ def _domain_precheck(f: FieldExpr, path: PathSpec, n: int = 129) -> None:
 def _integrand(f: FieldExpr, path: PathSpec):
     """ts -> f(r(t)) . r'(t) on a forward path, one call per array of ts."""
     def g(ts):
-        pts = path.points(ts)
-        vals = (f(pts) * path.velocities(ts)).sum(axis=1)
+        pts, vel = path.frame(ts)
+        vals = (f(pts) * vel).sum(axis=1)
         require_finite(vals, pts, lambda k: float(ts[k]), "line integrand")
         return vals
     return g
@@ -264,11 +306,12 @@ def line_integral(f: FieldExpr, path: PathSpec, tol: float = 1e-9) -> Circulatio
     parts = []
     for piece, start in pieces:
         g = _integrand(f, piece)
-        val, prev, level = refine(lambda k: _composite(g, start << k, _LINE_ORDER),
-                                  lambda a, b: abs(a - b) < piece_tol,
-                                  _LINE_MAX_DOUBLINGS,
-                                  f"line quadrature to tol={piece_tol:g}")
-        parts.append(CirculationReport(val, (start << level) * _LINE_ORDER, abs(val - prev)))
+        # Levels 0 and 1 come from one call of g, later levels from one each.
+        val, estimate, level = _refine(
+            lambda k: _composite(g, (start, 2 * start) if k == 0 else (start << k,),
+                                 _LINE_ORDER),
+            piece_tol, _LINE_MAX_DOUBLINGS, f"line quadrature to tol={piece_tol:g}")
+        parts.append(CirculationReport(val, (start << level) * _LINE_ORDER, estimate))
     return CirculationReport(math.fsum(r.value for r in parts), sum(r.n_points for r in parts),
                              add_estimates(*(r.error_estimate for r in parts)))
 
@@ -277,8 +320,9 @@ def line_integral(f: FieldExpr, path: PathSpec, tol: float = 1e-9) -> Circulatio
 # Disc fluxes
 # ---------------------------------------------------------------------------
 
-def _polar_flux_level(f: FieldExpr, disc: DiscSpec, redges, level: int) -> float:
-    """Polar product rule on the whole (radius x angle) node grid of one level."""
+def _polar_flux_level(f: FieldExpr, disc: DiscSpec, redges, level: int) -> tuple:
+    """Polar product rule on the whole (radius x angle) node grid of one level:
+    (sum, sum of magnitudes) of its terms."""
     nodes, weights = _gl01(_DISC_ORDER)
     cx, cy, cz = disc.center
     two_pi = 2.0 * math.pi
@@ -306,7 +350,7 @@ def _polar_flux_level(f: FieldExpr, disc: DiscSpec, redges, level: int) -> float
                        "flux integrand", "(r, theta)")
         return ((wr[i:i + rows, None] * tw) * tw_width) * fz
 
-    return _fsum_blocks(block(i) for i in range(0, r.size, rows))
+    return _sums(block(i) for i in range(0, r.size, rows))
 
 
 def disc_flux(f: FieldExpr, disc: DiscSpec, deltas: Sequence = (),
@@ -328,11 +372,10 @@ def disc_flux(f: FieldExpr, disc: DiscSpec, deltas: Sequence = (),
         if centered:
             cuts = sorted(b for b in f.radial_breakpoints if 0.0 < b < disc.radius)
         redges = [0.0, *cuts, disc.radius]
-        smooth, prev, level = refine(
-            lambda k: _polar_flux_level(f, disc, redges, k),
-            lambda a, b: abs(a - b) < tol, _DISC_MAX_DOUBLINGS, f"disc flux to tol={tol:g}")
+        smooth, estimate, level = _refine(
+            lambda k: [_polar_flux_level(f, disc, redges, k)],
+            tol, _DISC_MAX_DOUBLINGS, f"disc flux to tol={tol:g}")
         nodes = (len(redges) - 1) * _DISC_ORDER ** 2 * 2 ** (2 * level + 1)
-        estimate = abs(smooth - prev)
     total = smooth * disc.orientation
     for d in deltas:
         total += d.flux_through(disc)

@@ -2,7 +2,8 @@
 
 Paths are evaluated on arrays: ``PathSpec.points(ts)`` and
 ``PathSpec.velocities(ts)`` take an (N,) array of parameters in [0, 1] and
-return (N, 3); ``point_at``/``velocity_at`` are the one-row case.  All
+return (N, 3), ``PathSpec.frame(ts)`` both from one evaluation;
+``point_at``/``velocity_at`` are the one-row case.  All
 values are immutable after construction and safe to share between threads.
 Arcs, polylines and discs check their data at construction (``NonFinite``
 when it cannot give finite points).  Endpoints are compared by
@@ -158,10 +159,16 @@ class PathSpec:
 
     def velocities(self, ts) -> np.ndarray:
         """(N, 3) derivatives d point / d t at an (N,) array of parameters."""
+        return self.frame(ts)[1]
+
+    def frame(self, ts) -> tuple:
+        """(points, velocities) at an (N,) array of parameters, from one evaluation
+        of the forward curve: an arc takes one cos and sin of its angles for both."""
         ts = np.asarray(ts, dtype=float)
         if self.is_reversed:
-            return -self._forward(1.0 - ts, velocity=True)
-        return self._forward(ts, velocity=True)
+            pts, vel = self._point(1.0 - ts, velocity=True)
+            return pts, -vel
+        return self._point(ts, velocity=True)
 
     def point_at(self, t: float) -> np.ndarray:
         return self.points([t])[0]
@@ -169,29 +176,29 @@ class PathSpec:
     def velocity_at(self, t: float) -> np.ndarray:
         return self.velocities([t])[0]
 
-    def _point(self, ts: np.ndarray) -> np.ndarray:
-        """Points of the forward curve at an (N,) parameter array."""
-        return self._forward(ts, velocity=False)
-
-    def _forward(self, ts: np.ndarray, velocity: bool) -> np.ndarray:
-        """Points or velocities of the forward curve at parameters ts."""
+    def _point(self, ts: np.ndarray, velocity: bool = False):
+        """Points of the forward curve at an (N,) parameter array; with velocity,
+        (points, velocities)."""
         if self.kind == "arc":
             (cx, cy, cz), r, phase, sweep = self.arc
             a = phase + sweep * ts
             cos, sin = np.cos(a), np.sin(a)
-            if velocity:
-                return np.stack([-r * sweep * sin, r * sweep * cos, np.zeros_like(a)], axis=1)
-            return np.stack([cx + r * cos, cy + r * sin, np.full_like(a, cz)], axis=1)
+            pts = np.stack([cx + r * cos, cy + r * sin, np.full_like(a, cz)], axis=1)
+            if not velocity:
+                return pts
+            return pts, np.stack([-r * sweep * sin, r * sweep * cos, np.zeros_like(a)], axis=1)
         if self.kind == "parametric":
-            fn = self.dfn if velocity else self.fn
-            rows = [np.asarray(fn(t), dtype=float) for t in ts.tolist()]
-            return np.array(rows).reshape(-1, 3)
+            def rows(fn):
+                return np.array([np.asarray(fn(t), dtype=float) for t in ts.tolist()]
+                                ).reshape(-1, 3)
+            return (rows(self.fn), rows(self.dfn)) if velocity else rows(self.fn)
         m = len(self.vertices) - 1
         s = np.clip(ts, 0.0, 1.0) * m
         i = np.minimum(s.astype(int), m - 1)
         v = np.asarray(self.vertices)
         d = v[i + 1] - v[i]
-        return d * m if velocity else v[i] + (s - i)[:, None] * d
+        pts = v[i] + (s - i)[:, None] * d
+        return (pts, d * m) if velocity else pts
 
     # -- structure -----------------------------------------------------
 

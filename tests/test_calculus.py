@@ -1,16 +1,18 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from abgauge import (BawinBurnelGauge, CallableField, DiffConfig, DiscSpec,
-                     GaugeGradientField, LandauField, LoopSpec, PathSpec,
+                     FieldExpr, GaugeGradientField, LandauField, LoopSpec, PathSpec,
                      PolynomialGauge, SingularSolenoidGauge, SolenoidBField, SolenoidSpec,
                      SolenoidTransverseField, StringField, TransformedPotentialField,
                      disc_flux, helmholtz_classify, landau_link1, landau_link2,
                      line_integral, numeric_curl, numeric_divergence,
                      shrinking_loop_circulation, stokes_residual)
 import abgauge.calculus as calculus
+from abgauge.biot_savart import NumericBiotSavartField
 from abgauge.errors import DomainViolation, NoConvergence, NoLimit, NonFinite
 
 from helpers import cylinder_points, random_polynomial_gauge, simpson_path_integral
@@ -103,6 +105,30 @@ class TestLineIntegral:
         rep = line_integral(f, PathSpec.circle((0, 0, 0), 2.0), tol=1e-10)
         assert rep.n_points > 0
         assert rep.error_estimate >= 0.0
+
+    def test_field_converging_at_level_one_is_called_once(self):
+        # The work of (-y, x, 0) along a circle has a constant part and a cos/sin
+        # part, which levels 0 and 1 both integrate to rounding.
+        calls = []
+
+        class Rotation(FieldExpr):
+            def __call__(self, p):
+                calls.append(len(p))
+                x, y, _ = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
+                return np.stack([-y, x, np.zeros_like(x)], axis=-1)
+
+        rep = line_integral(Rotation(), PathSpec.circle((0.3, -0.2, 0.5), 1.5), tol=1e-10)
+        assert calls == [(2 + 4) * 8]  # one call for levels 0 and 1
+        assert rep.n_points == 4 * 8
+        assert rep.value == pytest.approx(2 * PI * 1.5 ** 2, abs=1e-12)
+
+    def test_estimate_bounds_an_error_below_the_level_difference(self):
+        # The oracle's potential around rho = 2 gives pi to within rounding, and the
+        # last two levels agree more closely than that: the rounding floor bounds it.
+        rep = line_integral(NumericBiotSavartField(S), PathSpec.circle((0, 0, 0), 2.0),
+                            tol=1e-4)
+        assert rep.error_estimate > 0.0
+        assert abs(rep.value - PI) <= rep.error_estimate
 
     def test_exact_report_fields(self):
         rep = line_integral(AS, PathSpec.circle((0, 0, 0), 2.0), tol=1e-10)
@@ -331,10 +357,12 @@ class TestNonFiniteStopsRefinement:
             calls.append(p)
             return np.array([math.nan, 0.0, 0.0])
 
-        message = r"line integrand is not finite at t = [\d.e-]+, point \["
+        # Level 0's nodes come first, so the message names its first node.
+        first = re.escape(repr(float(calculus._gl01(8)[0][0] / 2)))
+        message = rf"line integrand is not finite at t = {first}, point \["
         with pytest.raises(NonFinite, match=message):
             line_integral(CallableField(nan_field), PathSpec.circle((0, 0, 0), 2.0))
-        assert len(calls) == 2 * 8  # the first level: 2 panels of order 8
+        assert len(calls) == (2 + 4) * 8  # one evaluation of levels 0 and 1: 2 and 4 panels
 
     def test_infinite_value_on_a_polyline_segment(self):
         f = CallableField(lambda p: np.array([math.inf if p[0] > 1.5 else 1.0, 0.0, 0.0]))

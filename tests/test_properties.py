@@ -8,10 +8,12 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from abgauge import (BawinBurnelGauge, CallableField, DiffConfig, DiscSpec,
-                     GaugeGradientField, LandauField, PathSpec,
+                     GaugeGradientField, LandauField, PathSpec, PolynomialGauge,
                      SingularSolenoidGauge, SolenoidBField, SolenoidSpec,
                      SolenoidTransverseField, disc_flux, landau_link1, landau_link2,
                      line_integral, numeric_curl)
+
+import abgauge.calculus as calculus
 
 from helpers import random_polynomial_gauge
 
@@ -107,3 +109,74 @@ class TestLandauUniformity:
         f = LandauField(variant, b)
         c = numeric_curl(f, (x, y, 0.0))
         assert np.allclose(c, (0, 0, b), atol=1e-7)
+
+
+coord = st.floats(-3.0, 3.0)
+
+
+@st.composite
+def any_path(draw):
+    """An arc, a circle, a polyline or a parametric helix, maybe reversed."""
+    kind = draw(st.sampled_from(["arc", "circle", "polyline", "parametric"]))
+    c = (draw(coord), draw(coord), draw(coord))
+    r = draw(st.floats(0.1, 4.0))
+    if kind == "arc":
+        phi0 = draw(angle)
+        path = PathSpec.arc(c, r, phi0, phi0 + draw(st.floats(-9.0, 9.0)))
+    elif kind == "circle":
+        path = PathSpec.circle(c, r, turns=draw(st.sampled_from([-2, -1, 1, 3])),
+                               start_phase=draw(angle))
+    elif kind == "polyline":
+        path = PathSpec.polyline(draw(st.lists(st.tuples(coord, coord, coord),
+                                               min_size=2, max_size=6)))
+    else:
+        w, h = draw(st.floats(-7.0, 7.0)), draw(coord)
+        path = PathSpec.parametric(
+            lambda t: np.array([c[0] + r * math.cos(w * t), c[1] + r * math.sin(w * t),
+                                c[2] + h * t]),
+            lambda t: np.array([-r * w * math.sin(w * t), r * w * math.cos(w * t), h]))
+    return path.reverse() if draw(st.booleans()) else path
+
+
+def forward_velocities(path, ts):
+    """Velocities of the forward curve by each kind's own formula."""
+    if path.kind == "arc":
+        _, r, phase, sweep = path.arc
+        a = phase + sweep * ts
+        return np.stack([-r * sweep * np.sin(a), r * sweep * np.cos(a), np.zeros_like(a)],
+                        axis=1)
+    if path.kind == "parametric":
+        return np.array([path.dfn(t) for t in ts.tolist()]).reshape(-1, 3)
+    m = len(path.vertices) - 1
+    i = np.minimum((ts * m).astype(int), m - 1)
+    v = np.asarray(path.vertices)
+    return (v[i + 1] - v[i]) * m
+
+
+def bits(*arrays):
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+class TestOneEvaluationPerLevel:
+    """A path's frame and the paired first two quadrature levels are bitwise the
+    separate evaluations they replace."""
+
+    @given(any_path(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+    def test_frame_is_points_and_velocities(self, path, ts):
+        ts = np.array(ts)
+        pts, vel = path.frame(ts)
+        assert bits(pts, vel) == bits(path.points(ts), path.velocities(ts))
+        want = (-forward_velocities(path, 1.0 - ts) if path.is_reversed
+                else forward_velocities(path, ts))
+        assert bits(vel) == bits(want)
+
+    @given(any_path(), st.sampled_from([1, 2]), st.integers(0, 4),
+           st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
+                              st.floats(-2.0, 2.0)), min_size=1, max_size=4))
+    def test_paired_levels_are_the_single_level_rules(self, path, start, level, terms):
+        f = AS + GaugeGradientField(PolynomialGauge(tuple(terms)))
+        g = calculus._integrand(f, path)
+        n = start << level
+        paired = calculus._composite(g, (n, 2 * n), 8)
+        single = calculus._composite(g, (n,), 8) + calculus._composite(g, (2 * n,), 8)
+        assert bits(paired) == bits(single)

@@ -226,7 +226,7 @@ class TestScenarioExecution:
         curl = NumericCurlField(SolenoidTransverseField(SolenoidSpec(1.0, 1.0)))
         disc = DiscSpec((0.5, 0, 0), 1.0)
         rep = disc_flux(curl, disc, tol=1e-3)
-        levels = [_polar_flux_level(curl, disc, [0.0, 1.0], k) for k in range(4)]
+        levels = [_polar_flux_level(curl, disc, [0.0, 1.0], k)[0] for k in range(4)]
         assert abs(levels[2] - levels[1]) >= 1e-3 > abs(levels[3] - levels[2])
         assert rep.value == levels[3]
         assert rep.error_estimate == abs(levels[3] - levels[2]) > 0.0
