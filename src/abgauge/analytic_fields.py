@@ -216,19 +216,14 @@ class FieldExpr:
 
     Instances are immutable and evaluation is pure, so concurrent use is
     fine.  Metadata drives the numerical layers: excluded axis for singular
-    gauges, the excluded shell (``SolenoidSpec.on_shell``, by ``_extra_domain_ok``) of
-    fields with no value on it, radial breakpoints where smoothness fails, and
-    the principal branch cut for azimuth-dependent fields.
+    gauges, radial breakpoints where smoothness fails, and the principal
+    branch cut for azimuth-dependent fields.  A field with no value on the
+    shell excludes it in ``domain_ok`` (``SolenoidSpec.on_shell``, by
+    ``_extra_domain_ok``) and raises ``OnShell`` when evaluated there.
     """
 
     excludes_axis: bool = False
-    excludes_shell: bool = False
     branch_cut: bool = False
-
-    @property
-    def excludes_nothing(self) -> bool:
-        """True when ``domain_ok`` holds at every point, so no path can leave the domain."""
-        return not (self.excludes_axis or self.excludes_shell or self.branch_cut)
 
     @property
     def radial_breakpoints(self) -> tuple:
@@ -284,8 +279,6 @@ class SolenoidField(FieldExpr):
 @dataclass(frozen=True)
 class ShellExcludedField(SolenoidField):
     """A field of the solenoid with no value on its shell, within SHELL_TOL * R."""
-
-    excludes_shell = True
 
     def _extra_domain_ok(self, rho: np.ndarray, margin: float) -> np.ndarray:
         return ~self.solenoid.on_shell(rho, margin)
@@ -400,8 +393,10 @@ class SolenoidBField(ShellExcludedField):
         s = self.solenoid
         x, y, _ = _components(p)
         rho = np.hypot(x, y)
-        if np.any(s.on_shell(rho)):
-            raise OnShell("magnetic field has no value on the current shell")
+        on = s.on_shell(rho)
+        if on.any():
+            raise OnShell(f"magnetic field has no value at point "
+                          f"{as_points(p)[on][0].tolist()} on the current shell")
         return _stack(0.0, 0.0, np.where(rho < s.R, s.B, 0.0))
 
     def flux(self, disc) -> float:
@@ -543,10 +538,6 @@ class SumField(FieldExpr):
     @property
     def branch_cut(self) -> bool:  # type: ignore[override]
         return any(t.branch_cut for t in self.terms)
-
-    @property
-    def excludes_nothing(self) -> bool:  # type: ignore[override]
-        return all(t.excludes_nothing for t in self.terms)
 
     @property
     def radial_breakpoints(self) -> tuple:

@@ -1,10 +1,11 @@
 """Numerical differential operators, line and flux quadrature, and checks.
 
-A line integral first asks the field for its exact circulation along each
+A line integral checks the axis by the path's data (``axis_distance``), the
+branch cut and parametric paths by samples, and leaves the shell to the field
+at a node (``OnShell``).  It then asks for the exact circulation along each
 forward arc, polyline or parametric piece (``FieldExpr.circulation``: the
-solenoid's transverse potential and the linear Landau potentials on arcs
-and polylines, gauge gradients on any path), after the same domain checks
-as quadrature; a disc flux first asks for the exact flux
+transverse potential and linear Landau potentials on arcs and polylines,
+gauge gradients on any path); a disc flux first asks for the exact flux
 (``FieldExpr.flux``: the solenoid's B by the area of the disc's overlap
 with the cross-section).  An exact value reports no nodes and a None
 estimate.  Where the field gives None, the piece is integrated by
@@ -38,7 +39,8 @@ import numpy as np
 from .analytic_fields import FieldExpr
 from .errors import DomainViolation, NoLimit, NonFinite
 from .extrapolation import neville_to_zero, refine
-from .geometry import DiscSpec, PathSpec, as_points, as_xyz, require_finite
+from .geometry import (AXIS_CUTOFF, DiscSpec, PathSpec, as_points, as_xyz, axis_distance,
+                       require_finite)
 
 # Points per field call; larger refinement levels are evaluated in blocks.
 _CHUNK = 1 << 14
@@ -168,13 +170,12 @@ class NumericCurlField(FieldExpr):
     base: FieldExpr = None
     cfg: DiffConfig = DiffConfig()
 
+    excludes_axis = property(lambda self: self.base.excludes_axis)
+    branch_cut = property(lambda self: self.base.branch_cut)
+
     @property
     def radial_breakpoints(self) -> tuple:
         return self.base.radial_breakpoints
-
-    @property
-    def excludes_nothing(self) -> bool:  # type: ignore[override]
-        return self.base.excludes_nothing
 
     def __call__(self, p) -> np.ndarray:
         return numeric_curl(self.base, p, self.cfg)
@@ -254,12 +255,20 @@ def _composite(g, panel_counts, order: int) -> list:
     return out
 
 
-def _domain_precheck(f: FieldExpr, path: PathSpec, n: int = 129) -> None:
-    pts = path.sample(n)
+def _domain_precheck(f: FieldExpr, path: PathSpec) -> None:
+    """Refuse an arc or polyline within AXIS_CUTOFF of an excluded axis, the rule of
+    ``azimuth_change``; sample parametric paths and fields with a branch cut."""
+    if f.excludes_axis and (gap := axis_distance(path)) < AXIS_CUTOFF:
+        raise DomainViolation(f"path passes {gap!r} from the z-axis, within "
+                              f"AXIS_CUTOFF = {AXIS_CUTOFF!r} that the field excludes")
+    if path.kind != "parametric" and not f.branch_cut:
+        return
+    pieces = len(path.vertices) - 1 if path.kind == "polyline" else 1
+    pts = path.sample(max(129, 8 * pieces + 1))
     ok = f.domain_ok(pts)
     if not ok.all():
-        pt = tuple(np.round(pts[np.argmin(ok)], 6).tolist())
-        raise DomainViolation(f"path point {pt} is outside the field's domain")
+        raise DomainViolation(f"path point {tuple(pts[np.argmin(ok)].tolist())} "
+                              "is outside the field's domain")
     # Between samples that straddle the cut the principal azimuth jumps by nearly 2 pi.
     if f.branch_cut and np.any(np.abs(np.diff(np.arctan2(pts[:, 1], pts[:, 0]))) > math.pi):
         raise DomainViolation("path crosses the field's branch cut on the negative x-axis")
@@ -287,11 +296,7 @@ def line_integral(f: FieldExpr, path: PathSpec, tol: float = 1e-9) -> Circulatio
         rep = line_integral(f, path.reverse(), tol)
         return CirculationReport(-rep.value, rep.n_points, rep.error_estimate)
 
-    n_pieces = len(path.vertices) - 1 if path.kind == "polyline" else 1
-    # A field that excludes nothing refuses no path; a parametric path is still
-    # sampled, because sampling calls its user function, which may fail.
-    if path.kind == "parametric" or not f.excludes_nothing:
-        _domain_precheck(f, path, n=max(129, 8 * n_pieces + 1))
+    _domain_precheck(f, path)
     exact = f.circulation(path)
     if exact is not None:
         if not math.isfinite(exact):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -64,6 +65,11 @@ def as_xyz(point) -> np.ndarray:
     arr = as_points(point)
     if arr.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {arr.shape}")
+    return arr
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
     return arr
 
 
@@ -205,13 +211,13 @@ class PathSpec:
     def reverse(self) -> "PathSpec":
         return replace(self, is_reversed=not self.is_reversed)
 
-    @property
+    @cached_property
     def start(self) -> np.ndarray:
-        return self.point_at(0.0)
+        return _frozen(self.point_at(0.0))
 
-    @property
+    @cached_property
     def end(self) -> np.ndarray:
-        return self.point_at(1.0)
+        return _frozen(self.point_at(1.0))
 
     @property
     def is_closed(self) -> bool:

@@ -541,16 +541,19 @@ def resolve_field(field_id, scenario: Scenario):
 # Point sampling for scan operations
 # ---------------------------------------------------------------------------
 
-def _sample_points(rng, n, rho_range, z_range=(-1.0, 1.0), avoid_shell=None,
-                   shell_margin=0.01, avoid_cut=False) -> np.ndarray:
-    """(n, 3) random points; ValueError when the shell margin rejects nearly all."""
+def _scan_points(scenario, params, avoid_cut, n=100, shell_margin=0.01) -> np.ndarray:
+    """(n, 3) points drawn from the operation's seeded generator, shell_margin clear of
+    the shell; ValueError when the shell margin rejects nearly all."""
+    rng = _op_rng(scenario, params)
+    n, rho_range = params.get("n", n), params.get("rho", (0.5, 3.0))
+    z_range = tuple(params.get("z", (-1.0, 1.0)))
     rows = []
     lo, hi = (-math.pi + 0.2, math.pi - 0.2) if avoid_cut else (-math.pi, math.pi)
     for _ in range(1000 * (int(n) + 1)):  # n may be a float without a fraction
         if len(rows) >= n:
             break
         rho = rng.uniform(*rho_range)
-        if avoid_shell is not None and abs(rho - avoid_shell) < shell_margin:
+        if abs(rho - scenario.solenoid.R) < shell_margin:
             continue
         phi = rng.uniform(lo, hi)
         rows.append((rho * math.cos(phi), rho * math.sin(phi), rng.uniform(*z_range)))
@@ -628,12 +631,7 @@ def _h_stokes_residual(scenario, params, refs):
 
 def _h_helmholtz_classify(scenario, params, refs):
     f = refs["field"]
-    rng = _op_rng(scenario, params)
-    pts = _sample_points(rng, params.get("n", 50),
-                         params.get("rho", (0.5, 3.0)),
-                         avoid_shell=scenario.solenoid.R,
-                         shell_margin=0.05,
-                         avoid_cut=f.branch_cut)
+    pts = _scan_points(scenario, params, f.branch_cut, n=50, shell_margin=0.05)
     cfg = DiffConfig(h=params.get("h", 1e-3), order=params.get("order", 4))
     rep = helmholtz_classify(f, pts, cfg)
     extra = {"classification": rep.classification, "notes": list(rep.notes),
@@ -709,16 +707,6 @@ def _h_landau_compare(scenario, params, refs):
     vals = list(phases.values())
     spread = max(vals) - min(vals)
     return spread, 0.0, "landau.S,landau.L1,landau.L2", {"loop_phases": phases}
-
-
-def _scan_points(scenario, params, avoid_cut):
-    rng = _op_rng(scenario, params)
-    return _sample_points(rng, params.get("n", 100),
-                          params.get("rho", (0.5, 3.0)),
-                          z_range=tuple(params.get("z", (-1.0, 1.0))),
-                          avoid_shell=scenario.solenoid.R,
-                          shell_margin=params.get("shell_margin", 0.01),
-                          avoid_cut=avoid_cut)
 
 
 def _max_abs(values) -> float:

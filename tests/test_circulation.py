@@ -12,6 +12,7 @@ flux of B through a disc with the exact circulation of A_S around its rim.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from abgauge import (BawinBurnelGauge, DiscSpec, FieldExpr, GaugeGradientField,
                      LandauField, PathSpec, PolynomialGauge, SingularSolenoidGauge,
                      SolenoidBField, SolenoidSpec, SolenoidTransverseField, SumField,
                      disc_flux, line_integral)
-from abgauge.errors import ComputationError, DomainViolation
+from abgauge.analytic_fields import TransformedPotentialField
+from abgauge.errors import ComputationError, DomainViolation, NoConvergence, OnShell
+from abgauge.geometry import AXIS_CUTOFF
 from abgauge.scenario import _FIELDS, _GAUGES, scenario_from_dict
 
 TOL = 1e-12
@@ -357,10 +360,10 @@ def test_refusals_match_quadrature(field, path, reverse, monkeypatch):
     assert with_formulas[0] is DomainViolation
 
 
-# A point on the axis, on the shell, 5e-4 R from it (where the fields that exclude the
-# shell are defined), on the branch cut, and one clear of all of them.
-DOMAIN_PROBES = np.array([[0.0, 0.0, 0.5], [1.0, 0.0, 0.0], [0.0, 1.0005, 0.0],
-                          [-2.0, 0.0, 0.3], [2.0, 1.0, -0.3]])
+# Off the shell: a point on the axis, one 5e-4 R from the shell (where the fields
+# with no value on it are defined), one on the branch cut, and one clear of all of them.
+DOMAIN_PROBES = np.array([[0.0, 0.0, 0.5], [0.0, 1.0005, 0.0], [-2.0, 0.0, 0.3],
+                          [2.0, 1.0, -0.3]])
 SCENARIO = scenario_from_dict({"name": "domains", "operations": [{"op": "string_flux"}]})
 DOMAIN_FIELDS = {
     **{fid: make(SCENARIO) for fid, make in _FIELDS.items()},
@@ -371,8 +374,108 @@ DOMAIN_FIELDS = {
 
 @pytest.mark.parametrize("fid", DOMAIN_FIELDS)
 def test_excludes_nothing_agrees_with_domain_ok(fid):
-    # line_integral skips its sampled domain check on non-parametric paths
-    # exactly when a field excludes nothing, alone or as a term of a sum.
+    # Off the shell, which the field refuses at a node, line_integral checks a path
+    # only for the axis and the branch cut: a field excludes nothing there exactly
+    # when it has neither, alone or as a term of a sum.
     f = DOMAIN_FIELDS[fid]
     for g in (f, SumField((SolenoidTransverseField(SCENARIO.solenoid), f))):
-        assert g.excludes_nothing == bool(g.domain_ok(DOMAIN_PROBES).all())
+        assert (g.excludes_axis or g.branch_cut) == (not g.domain_ok(DOMAIN_PROBES).all())
+
+
+@pytest.mark.parametrize("fid", ["solenoid.B", "solenoid.AS.numeric"])
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+def test_circle_on_the_shell_is_refused_by_the_field(fid, reverse):
+    path = PathSpec.circle((0.0, 0.0, 0.0), SCENARIO.solenoid.R, start_phase=0.3)
+    with pytest.raises(OnShell, match=r"point \[.+\] .*on the current shell"):
+        line_integral(DOMAIN_FIELDS[fid], path.reverse() if reverse else path)
+
+
+# -- near the axis -----------------------------------------------------------------
+
+def _near_axis_paths(seed=21, count=16):
+    """(closest approach d, path, whether the axis is inside the path's circle):
+    segments and arcs that pass d from the axis, d log-uniform on [1e-15, 1e-3],
+    at an azimuth within 0.8 of the +x direction.
+
+    A segment's line meets y = 0 at x = d / cos(azimuth) > 0.  An arc's circle
+    clears the axis by d outside (its x-axis roots are both positive) or inside
+    (it sweeps at most 1 rad either side of its nearest point, short of its
+    negative root).  So no path touches the negative x half-line.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = 10.0 ** rng.uniform(-15.0, -3.0)
+        if abs(math.log10(d / AXIS_CUTOFF)) < 1e-3:
+            continue  # too near the cutoff to tell which side rounding puts it
+        psi = rng.uniform(-0.8, 0.8)
+        n, u = np.array(polar(1.0, psi)), np.array(polar(1.0, psi + math.pi / 2))
+        around = False
+        if len(out) % 2 == 0:
+            a = d * n - rng.uniform(0.1, 2.0) * u + (0.0, 0.0, rng.uniform(-1.0, 1.0))
+            b = d * n + rng.uniform(0.1, 2.0) * u + (0.0, 0.0, rng.uniform(-1.0, 1.0))
+            path = PathSpec.segment(a, b)
+        else:
+            r = rng.uniform(0.5, 2.0)
+            # The centre lies at azimuth psi with the axis outside, opposite it with the
+            # axis inside; the nearest point is at angle alpha + pi on the circle.
+            around = rng.random() < 0.5
+            hc, alpha = (r - d, psi + math.pi) if around else (r + d, psi)
+            c, near = polar(hc, alpha, rng.uniform(-1.0, 1.0)), alpha + math.pi
+            path = PathSpec.arc(c, r, near - rng.uniform(0.1, 1.0), near + rng.uniform(0.1, 1.0))
+        out.append((d, path.reverse() if rng.random() < 0.5 else path, around))
+    return out
+
+
+S1 = SolenoidSpec(1.0, 1.0)
+_SING = GaugeGradientField(SingularSolenoidGauge(S1))
+_TILDE = GaugeGradientField(BawinBurnelGauge(1.0))
+
+
+def _string_gauge_form(path):
+    return SolenoidTransverseField(S1).circulation(path) + _SING.circulation(path)
+
+
+def _bawin_burnel_form(path):
+    return LandauField("S").circulation(path) + _TILDE.circulation(path)
+
+
+NEAR_AXIS = {
+    "solenoid.Aprime": (TransformedPotentialField(S1), _string_gauge_form),
+    "gauge.sing": (_SING, _SING.circulation),
+    "A_S+grad.sing": (SolenoidTransverseField(S1) + _SING, _string_gauge_form),
+    "gauge.chitilde": (_TILDE, _TILDE.circulation),
+    "landau.BB": (LandauField("BB"), _bawin_burnel_form),
+}
+
+
+@pytest.mark.parametrize("fid", NEAR_AXIS)
+def test_near_axis_paths_are_refused_exactly_inside_the_cutoff(fid):
+    f, closed_form = NEAR_AXIS[fid]
+    for d, path, around in _near_axis_paths():
+        if around and f.branch_cut:
+            continue  # the sampled cut check refuses these (see the next test)
+        if d < AXIS_CUTOFF:
+            with pytest.raises(DomainViolation, match="from the z-axis"):
+                line_integral(f, path)
+            continue
+        try:
+            rep = line_integral(f, path)
+        except NoConvergence:
+            continue  # a spike of width d that 16 doublings do not resolve (ROADMAP item 4)
+        forward = path.reverse() if path.is_reversed else path
+        want = closed_form(forward) * (-1.0 if path.is_reversed else 1.0)
+        assert abs(rep.value - want) <= max(rep.error_estimate or 0.0, 1e-9), (d, path)
+
+
+@pytest.mark.xfail(raises=DomainViolation, strict=True,
+                   reason="the sampled cut check reads a swing of nearly pi around the "
+                          "axis between two samples as a cut crossing (ROADMAP item 21)")
+def test_arc_around_the_axis_near_it_is_off_the_cut():
+    # The arc passes d from the axis with the axis inside its circle, between two
+    # samples on the far side of the axis.  It meets y = 0 only at x = d, so it
+    # never touches the cut.
+    r, d = 1.0, 1e-8
+    path = PathSpec.arc((d - r, 0.0, 0.0), r, -0.5, 0.6)
+    rep = line_integral(LandauField("BB"), path)
+    assert abs(rep.value - _bawin_burnel_form(path)) <= max(rep.error_estimate, 1e-9)

@@ -1,6 +1,7 @@
 """Cross-cutting invariants, mostly property based."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -180,3 +181,12 @@ class TestOneEvaluationPerLevel:
         paired = calculus._composite(g, (n, 2 * n), 8)
         single = calculus._composite(g, (n,), 8) + calculus._composite(g, (2 * n,), 8)
         assert bits(paired) == bits(single)
+
+    @given(any_path())
+    def test_endpoints_are_read_once(self, path):
+        ends = (path.start, path.end)
+        assert bits(*ends) == bits(path.point_at(0.0), path.point_at(1.0))
+        assert not any(e.flags.writeable for e in ends)
+        with mock.patch.object(PathSpec, "_point") as point:
+            assert path.start is ends[0] and path.end is ends[1]
+        assert point.call_count == 0
